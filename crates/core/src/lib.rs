@@ -19,7 +19,10 @@
 //!   utilization-weighted extension, and bandit baselines (ε-greedy,
 //!   UCB1) for ablations.
 //! * [`session`] — the §2.1 protocol: concurrent control download,
-//!   probe race, remainder fetch, improvement measurement.
+//!   probe race, remainder fetch, improvement measurement — one runner
+//!   for every [`SessionMode`].
+//! * [`stripe`] — the striped remainder: mHTTP-style chunk scheduling
+//!   over direct + best-k indirect paths with EWMA-driven rebalancing.
 //! * [`record`] — per-transfer records and the three utilization
 //!   statistics used across Tables II–III and Fig 5.
 //! * [`aggregate`] — [`aggregate::StudySummary`]: the headline numbers
@@ -33,6 +36,7 @@ pub mod record;
 pub mod session;
 pub mod sim_transport;
 pub mod stable;
+pub mod stripe;
 pub mod transport;
 
 pub use aggregate::StudySummary;
@@ -44,8 +48,10 @@ pub use policy::{
 pub use predictor::{EwmaBlend, FirstPortion, Predictor};
 pub use record::{improvement, TransferRecord, UtilizationTracker};
 pub use session::{
-    run_paths_session_traced, run_session, run_session_traced, select_measure_all, ControlMode,
-    EngineMode, FailoverConfig, ProbeMode, RebalanceConfig, SessionConfig, SessionMode,
+    run_paths_session_stats, run_paths_session_traced, run_session, run_session_traced,
+    ControlMode, EngineMode, FailoverConfig, ProbeMode, RebalanceConfig, SessionConfig,
+    SessionMode,
 };
 pub use sim_transport::{SimTransport, TcpDerivation};
+pub use stripe::{PathStripeStats, StripeStats};
 pub use transport::{Handle, RaceWin, Timing, Transport};

@@ -15,6 +15,7 @@ use crate::path::PathSpec;
 use crate::policy::{SelectCtx, SelectionPolicy};
 use crate::predictor::Predictor;
 use crate::record::TransferRecord;
+use crate::stripe::{run_striped_remainder, StripeSeed, StripeStats};
 use crate::transport::{Handle, Timing, Transport};
 pub use ir_simnet::sim::EngineMode;
 use ir_simnet::time::SimDuration;
@@ -89,7 +90,7 @@ impl FailoverConfig {
 
 /// Chunk-rebalancing parameters for [`SessionMode::Striped`].
 ///
-/// The striper (the `ir-stripe` crate) keeps a per-path EWMA rate
+/// The striper ([`crate::stripe`]) keeps a per-path EWMA rate
 /// estimate seeded from the probe race. A free path steals the
 /// straggler chunk of a path whose observed rate has drifted below its
 /// own by more than `drift_ratio`, and a path that delivers zero bytes
@@ -138,15 +139,14 @@ impl RebalanceConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SessionMode {
     /// The paper's protocol: the probe winner carries the whole
-    /// remainder, winner-take-all. This module implements it.
+    /// remainder, winner-take-all.
     Racing,
     /// mHTTP-style multi-source striping: the remainder is partitioned
     /// into `chunks` ranges fetched concurrently over the direct path
     /// plus the best `k` indirect candidates, rebalanced per
-    /// `rebalance`. Executed by the `ir-stripe` crate's runner (this
-    /// crate's runner is the racing path); with one chunk and `k = 1`
-    /// the striper's record is bit-identical to [`SessionMode::Racing`]
-    /// on a healthy network.
+    /// `rebalance` ([`crate::stripe`]). With one chunk and `k = 1` the
+    /// record is bit-identical to [`SessionMode::Racing`] on a healthy
+    /// network.
     Striped {
         /// Ranges the remainder is split into (>= 1).
         chunks: u32,
@@ -195,10 +195,8 @@ pub struct SessionConfig {
     /// Every mode is bit-identical (enforced by the cross-engine
     /// differential suite); this knob trades wall-clock, not results.
     pub engine: EngineMode,
-    /// Remainder strategy. [`SessionMode::Racing`] (the paper's
-    /// protocol) is what this module's runners execute; striped
-    /// configs are dispatched by the `ir-stripe` crate's runner, which
-    /// delegates back here for `Racing`.
+    /// Remainder strategy; [`SessionMode::Racing`] is the paper's
+    /// protocol.
     pub mode: SessionMode,
 }
 
@@ -230,6 +228,12 @@ impl SessionConfig {
         assert!(!self.horizon.is_zero(), "zero horizon");
         if let Some(fo) = &self.failover {
             fo.validate();
+            // The striper's stall clock is `RebalanceConfig::stall_window`;
+            // a failover config would be silently ignored.
+            assert!(
+                self.mode == SessionMode::Racing,
+                "failover applies to racing sessions only"
+            );
         }
         self.mode.validate();
     }
@@ -250,11 +254,7 @@ enum Control {
 /// Among the survivors the strictly highest prediction wins; a tie
 /// keeps the earliest path, and the direct path probes first, so
 /// direct wins prediction ties.
-///
-/// Public because `ir-stripe`'s runner replays the identical probe
-/// phase: both modes must make the same decision from the same
-/// measurements.
-pub fn select_measure_all(
+fn select_measure_all(
     paths: &[PathSpec],
     outcomes: &[Option<(f64, f64)>],
 ) -> Option<(PathSpec, f64)> {
@@ -366,6 +366,9 @@ pub fn run_session_traced(
 /// the transport cannot resolve are dropped from the race — counted in
 /// the `path_unresolvable` metric and traced per path — rather than
 /// silently skipped or panicked on.
+///
+/// Every [`SessionMode`] runs here; only the remainder phase depends
+/// on it (see [`run_paths_session_stats`]).
 #[allow(clippy::too_many_arguments)] // multi-hop twin of run_session_traced; same signature
 pub fn run_paths_session_traced(
     transport: &mut dyn Transport,
@@ -378,7 +381,47 @@ pub fn run_paths_session_traced(
     cfg: &SessionConfig,
     tel: Option<&Telemetry>,
 ) -> TransferRecord {
+    run_paths_session_stats(
+        transport,
+        predictor,
+        client,
+        server,
+        indirect_paths,
+        candidates,
+        transfer_index,
+        cfg,
+        tel,
+    )
+    .0
+}
+
+/// [`run_paths_session_traced`] plus the striped scheduler's chunk
+/// accounting (empty unless a [`SessionMode::Striped`] session reached
+/// its remainder phase).
+///
+/// The remainder phase is the only part that depends on the mode:
+///
+/// * [`SessionMode::Racing`] — the probe winner's warm connection
+///   carries the whole remainder; with `cfg.failover` set, stalls are
+///   retried and failed over (`run_remainder_failover`).
+/// * [`SessionMode::Striped`] — the candidates are cut to `k` before
+///   the race, and the remainder is striped over direct + candidates
+///   by the chunk scheduler in [`crate::stripe`], seeded with every
+///   path's probe rate and warm connection.
+#[allow(clippy::too_many_arguments)] // stats twin; same signature
+pub fn run_paths_session_stats(
+    transport: &mut dyn Transport,
+    predictor: &mut dyn Predictor,
+    client: NodeId,
+    server: NodeId,
+    indirect_paths: &[PathSpec],
+    candidates: Vec<NodeId>,
+    transfer_index: u64,
+    cfg: &SessionConfig,
+    tel: Option<&Telemetry>,
+) -> (TransferRecord, StripeStats) {
     cfg.validate();
+    let striped = matches!(cfg.mode, SessionMode::Striped { .. });
     let direct = PathSpec::direct(client, server);
     let t0 = transport.now();
     if let Some(tel) = tel {
@@ -395,7 +438,7 @@ pub fn run_paths_session_traced(
     // The paper's 1-hop star always resolves; multi-hop chains from
     // generative policies may not, and a silent skip would corrupt the
     // probe-overhead accounting of tournament runs.
-    let candidate_paths: Vec<PathSpec> = indirect_paths
+    let mut candidate_paths: Vec<PathSpec> = indirect_paths
         .iter()
         .filter(|p| {
             let ok = transport.resolvable(p);
@@ -416,6 +459,11 @@ pub fn run_paths_session_traced(
         })
         .copied()
         .collect();
+    // The probe set *is* the stripe set, so the stripe width caps the
+    // race (the `PathSelector` plane's `best_k` orders the candidates).
+    if let SessionMode::Striped { k, .. } = cfg.mode {
+        candidate_paths.truncate(k as usize);
+    }
 
     // Control process: whole file on the direct path.
     let control = match cfg.control {
@@ -430,21 +478,12 @@ pub fn run_paths_session_traced(
     };
 
     // Selecting process.
-    let (
-        selected,
-        probe_throughput,
-        path_rate,
-        probe_timeout,
-        finished_ok,
-        failovers,
-        stall_ms,
-        abandoned,
-    ) = if candidate_paths.is_empty() {
+    let mut stats = StripeStats::default();
+    let (probe_throughput, probe_timeout, out) = if candidate_paths.is_empty() {
         // Direct-only: no probe phase; the whole file goes direct.
         let h = transport.begin(&direct, cfg.file_bytes);
-        let t = transport.finish(h, cfg.horizon);
-        let rate = t.map(|t| t.throughput()).unwrap_or(f64::NAN);
-        (direct, f64::NAN, rate, false, t.is_some(), 0, 0, false)
+        let rate = transport.finish(h, cfg.horizon).map(|t| t.throughput());
+        (f64::NAN, false, RemainderOutcome::single(direct, rate))
     } else {
         let paths: Vec<PathSpec> = std::iter::once(direct)
             .chain(candidate_paths.iter().copied())
@@ -467,17 +506,15 @@ pub fn run_paths_session_traced(
         }
 
         let decision = match cfg.probe_mode {
-            ProbeMode::FirstToFinish => match transport.race(&handles, cfg.horizon) {
-                Some(win) => {
-                    for (i, &h) in handles.iter().enumerate() {
-                        if i != win.index {
-                            transport.cancel(h);
-                        }
+            ProbeMode::FirstToFinish => transport.race(&handles, cfg.horizon).map(|win| {
+                let seed = striped.then(|| StripeSeed::raced(&*transport, &handles, &win));
+                for (i, &h) in handles.iter().enumerate() {
+                    if i != win.index {
+                        transport.cancel(h);
                     }
-                    Some((paths[win.index], win.timing.throughput()))
                 }
-                None => None,
-            },
+                (paths[win.index], win.timing.throughput(), seed)
+            }),
             ProbeMode::MeasureAll => {
                 let timings: Vec<Option<Timing>> = handles
                     .iter()
@@ -493,12 +530,15 @@ pub fn run_paths_session_traced(
                         })
                     })
                     .collect();
-                select_measure_all(&paths, &outcomes)
+                select_measure_all(&paths, &outcomes).map(|(path, rate)| {
+                    let seed = striped.then(|| StripeSeed::measured(&paths, path, &timings));
+                    (path, rate, seed)
+                })
             }
         };
 
         match decision {
-            Some((path, probe_rate)) => {
+            Some((path, probe_rate, seed)) => {
                 if let Some(tel) = tel {
                     let now_us = transport.now().as_micros();
                     let mut won = Event::new(EventKind::ProbeWon, now_us, transfer_index)
@@ -523,44 +563,51 @@ pub fn run_paths_session_traced(
                         );
                     }
                 }
-                match cfg.failover {
-                    None => {
-                        // The remainder rides the winning probe's warm
-                        // connection (another Range request, §2.1).
-                        let rem = transport.begin_warm(&path, cfg.file_bytes - cfg.probe_bytes);
-                        let (ok, rate) = match transport.finish(rem, cfg.horizon) {
-                            Some(t) => {
-                                // Feed the realized remainder rate back.
-                                predictor.observe(&path, t.throughput());
-                                (true, t.throughput())
-                            }
-                            None => (false, f64::NAN),
-                        };
-                        (path, probe_rate, rate, false, ok, 0, 0, false)
-                    }
-                    Some(fo) => {
-                        let out = run_remainder_failover(
+                let out = match (cfg.mode, seed, cfg.failover) {
+                    (
+                        SessionMode::Striped {
+                            chunks, rebalance, ..
+                        },
+                        Some(seed),
+                        _,
+                    ) => {
+                        let (out, s) = run_striped_remainder(
                             transport,
                             predictor,
-                            path,
                             &paths,
+                            seed,
+                            chunks,
+                            &rebalance,
                             cfg,
-                            &fo,
                             transfer_index,
                             tel,
                         );
-                        (
-                            out.path,
-                            probe_rate,
-                            out.rate,
-                            false,
-                            out.finished,
-                            out.failovers,
-                            out.stall_ms,
-                            out.abandoned,
-                        )
+                        stats = s;
+                        out
                     }
-                }
+                    (_, _, None) => {
+                        // The remainder rides the winning probe's warm
+                        // connection (another Range request, §2.1).
+                        let rem = transport.begin_warm(&path, cfg.file_bytes - cfg.probe_bytes);
+                        let rate = transport.finish(rem, cfg.horizon).map(|t| t.throughput());
+                        if let Some(rate) = rate {
+                            // Feed the realized remainder rate back.
+                            predictor.observe(&path, rate);
+                        }
+                        RemainderOutcome::single(path, rate)
+                    }
+                    (_, _, Some(fo)) => run_remainder_failover(
+                        transport,
+                        predictor,
+                        path,
+                        &paths,
+                        cfg,
+                        &fo,
+                        transfer_index,
+                        tel,
+                    ),
+                };
+                (probe_rate, false, out)
             }
             None => {
                 // Probe race timed out entirely; cancel everything and
@@ -579,8 +626,13 @@ pub fn run_paths_session_traced(
                     );
                 }
                 let h = transport.begin(&direct, cfg.file_bytes);
-                let ok = transport.finish(h, cfg.horizon).is_some();
-                (direct, f64::NAN, f64::NAN, true, ok, 0, 0, false)
+                let finished = transport.finish(h, cfg.horizon).is_some();
+                // No path rate: the fallback measures nothing.
+                let out = RemainderOutcome {
+                    finished,
+                    ..RemainderOutcome::single(direct, None)
+                };
+                (f64::NAN, true, out)
             }
         }
     };
@@ -591,7 +643,7 @@ pub fn run_paths_session_traced(
     // throughput of ~0 rather than a fabricated number.
     let t_end = transport.now();
     let wall = (t_end - t0).as_secs_f64();
-    let selected_throughput = if finished_ok && wall > 0.0 {
+    let selected_throughput = if out.finished && wall > 0.0 {
         cfg.file_bytes as f64 / wall
     } else {
         0.0
@@ -616,16 +668,16 @@ pub fn run_paths_session_traced(
         server,
         started: t0,
         file_bytes: cfg.file_bytes,
-        selected,
+        selected: out.path,
         candidates,
         direct_throughput,
         selected_throughput,
         probe_throughput,
-        selected_path_rate: path_rate,
+        selected_path_rate: out.rate,
         probe_timeout,
-        failovers,
-        stall_ms,
-        abandoned,
+        failovers: out.failovers,
+        stall_ms: out.stall_ms,
+        abandoned: out.abandoned,
     };
     if let Some(tel) = tel {
         let wall_us = (t_end - t0).as_micros();
@@ -645,24 +697,38 @@ pub fn run_paths_session_traced(
             .with_f64("selected_bps", record.selected_throughput),
         );
     }
-    record
+    (record, stats)
 }
 
-/// Outcome of the failover-enabled remainder phase.
-struct RemainderOutcome {
+/// Outcome of the remainder phase, whichever mode ran it.
+pub(crate) struct RemainderOutcome {
     /// The path that ultimately carried (or failed to carry) the file.
-    path: PathSpec,
+    pub(crate) path: PathSpec,
     /// True if the full remainder was delivered before the horizon.
-    finished: bool,
+    pub(crate) finished: bool,
     /// Realized remainder rate: remainder bytes over remainder wall
     /// time (NaN when abandoned).
-    rate: f64,
+    pub(crate) rate: f64,
     /// Mid-transfer path switches performed.
-    failovers: u32,
+    pub(crate) failovers: u32,
     /// Milliseconds spent stalled (zero-progress windows + backoffs).
-    stall_ms: u64,
+    pub(crate) stall_ms: u64,
     /// True if every retry and surviving candidate was exhausted.
-    abandoned: bool,
+    pub(crate) abandoned: bool,
+}
+
+impl RemainderOutcome {
+    /// One attempt on one path, finished at `rate` or (`None`) timed out.
+    fn single(path: PathSpec, rate: Option<f64>) -> RemainderOutcome {
+        RemainderOutcome {
+            path,
+            finished: rate.is_some(),
+            rate: rate.unwrap_or(f64::NAN),
+            failovers: 0,
+            stall_ms: 0,
+            abandoned: false,
+        }
+    }
 }
 
 /// The remainder phase with stall detection, retry/backoff, and
@@ -1115,11 +1181,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "file must exceed the probe")]
     fn config_validation() {
+        let rejects = |cfg: SessionConfig, expected: &str| {
+            let err = std::panic::catch_unwind(|| cfg.validate()).expect_err("config accepted");
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| err.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(msg.contains(expected), "{msg:?} lacks {expected:?}");
+        };
         let mut cfg = SessionConfig::paper_defaults();
         cfg.file_bytes = cfg.probe_bytes;
-        cfg.validate();
+        rejects(cfg, "file must exceed the probe");
+
+        // The striper ignores `FailoverConfig`; combining them is an error.
+        let mut cfg = SessionConfig::paper_defaults();
+        cfg.failover = Some(FailoverConfig::paper_defaults());
+        cfg.mode = SessionMode::Striped {
+            chunks: 4,
+            k: 1,
+            rebalance: RebalanceConfig::paper_defaults(),
+        };
+        rejects(cfg, "failover applies to racing sessions only");
     }
 
     /// Like [`world`], but with a fault plan installed. The closure

@@ -72,9 +72,11 @@
 //!
 //! `--trace FILE` writes a Chrome `trace_event` JSON of the study to
 //! FILE (open in `chrome://tracing` or Perfetto); `--metrics` prints a
-//! telemetry counter/histogram section after the reports. Both are
-//! strictly observational: artefact numbers are bit-identical with and
-//! without them.
+//! telemetry counter/histogram section after the reports, including
+//! `trace_events_dropped`, the events the bounded trace ring evicted.
+//! A `--trace` write that lost events warns with the count on stderr.
+//! Both are strictly observational: artefact numbers are bit-identical
+//! with and without them.
 
 use ir_experiments::{
     measurement_reports, measurement_study_default_traced, selection_reports,
@@ -612,11 +614,21 @@ fn main() -> ExitCode {
     if let Some(tel) = &tel {
         if let Some(path) = &args.trace_file {
             match std::fs::write(path, tel.chrome_trace()) {
-                Ok(()) => eprintln!(
-                    "wrote {} trace events to {}",
-                    tel.tracer.len(),
-                    path.display()
-                ),
+                Ok(()) => {
+                    eprintln!(
+                        "wrote {} trace events to {}",
+                        tel.tracer.len(),
+                        path.display()
+                    );
+                    let dropped = tel.tracer.dropped();
+                    if dropped > 0 {
+                        eprintln!(
+                            "warning: trace ring full; {dropped} oldest events were dropped \
+                             and are missing from {}",
+                            path.display()
+                        );
+                    }
+                }
                 Err(e) => {
                     eprintln!("trace write failed for {}: {e}", path.display());
                     ok = false;
@@ -624,6 +636,9 @@ fn main() -> ExitCode {
             }
         }
         if args.metrics {
+            tel.metrics
+                .counter("trace_events_dropped", vec![])
+                .add(tel.tracer.dropped());
             println!("== telemetry ==");
             print!("{}", tel.metrics.snapshot().render_text());
             println!();

@@ -4,9 +4,9 @@
 //!
 //! The paper's probe-then-commit session bets the whole remainder on
 //! one path; Table I prices the penalty when that bet goes stale.
-//! `ir-stripe` hedges the bet by fetching disjoint chunks over the
-//! direct path plus the best-k indirect paths and rebalancing when
-//! observed rates drift. This sweep measures what the hedge buys on a
+//! `SessionMode::Striped` hedges the bet by fetching disjoint chunks
+//! over the direct path plus the best-k indirect paths and rebalancing
+//! when observed rates drift. This sweep measures what the hedge buys on a
 //! pinned grid of 2-relay scenarios — stable geometries where racing
 //! is already right, and fault geometries where the probe's prediction
 //! goes stale immediately after the decision:
@@ -39,8 +39,8 @@ use crate::runner::{parallel_map, Scale};
 use ir_core::predictor::FirstPortion;
 use ir_core::sim_transport::SimTransport;
 use ir_core::{
-    run_paths_session_traced, FailoverConfig, PathSpec, RebalanceConfig, SessionConfig,
-    SessionMode, TransferRecord,
+    run_paths_session_stats, run_paths_session_traced, FailoverConfig, PathSpec, RebalanceConfig,
+    SessionConfig, SessionMode, TransferRecord,
 };
 use ir_policy::{KShortest, KShortestConfig, PathCtx, PathSelector};
 use ir_simnet::bandwidth::ConstantProcess;
@@ -48,7 +48,6 @@ use ir_simnet::faults::FaultPlan;
 use ir_simnet::sim::Network;
 use ir_simnet::time::{SimDuration, SimTime};
 use ir_simnet::topology::{LinkId, NodeId, NodeKind, Topology};
-use ir_stripe::run_striped_paths_session_stats;
 
 /// Session horizon (seconds) for every cell; an unfinished transfer is
 /// charged the full horizon.
@@ -311,7 +310,7 @@ fn run_cell(spec: &ScenarioSpec, k: u32, chunks: u32) -> StripeCell {
     let (rec, stats) = {
         let mut w = build_world(spec);
         let (paths, candidates) = stripe_set(&w, k as usize);
-        run_striped_paths_session_stats(
+        run_paths_session_stats(
             &mut w.tp,
             &mut FirstPortion,
             w.client,

@@ -68,3 +68,32 @@ fn bad_cal_file_is_rejected_with_line_number() {
     assert!(err.contains("line 1"), "{err}");
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn trace_loss_is_reported() {
+    // A quick measurement study records more events than the trace ring
+    // holds; the loss must show up in `--metrics` and as a warning.
+    let path = std::env::temp_dir().join(format!("ir_trace_loss_{}.json", std::process::id()));
+    let out = bin()
+        .args(["fig1", "--seed", "2007", "--metrics", "--trace"])
+        .arg(&path)
+        .output()
+        .expect("run");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let telemetry = &stdout[stdout.find("== telemetry ==").expect("telemetry section")..];
+    let dropped: u64 = telemetry
+        .lines()
+        .find_map(|l| l.strip_prefix("trace_events_dropped"))
+        .expect("dropped-event row")
+        .trim()
+        .parse()
+        .unwrap();
+    assert!(dropped > 0, "{telemetry}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains(&format!("{dropped} oldest events were dropped")),
+        "{err}"
+    );
+    std::fs::remove_file(&path).ok();
+}

@@ -1,6 +1,6 @@
 //! Chunk reassembly for striped range downloads.
 //!
-//! The striper (`ir-stripe` / `ir-relay`'s striped client) fetches
+//! The striper (`ir-relay`'s striped client) fetches
 //! disjoint byte ranges of one resource concurrently over several
 //! paths; responses land in arbitrary order. [`Reassembly`] collects
 //! them into the final body, tracking coverage so a transfer is

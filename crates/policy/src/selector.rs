@@ -39,8 +39,8 @@ pub trait PathSelector: Send {
     fn observe(&mut self, _rec: &TransferRecord) {}
 
     /// The best `k` candidate paths: the first `k` distinct entries of
-    /// [`PathSelector::paths`], preserving probe order. The striper
-    /// (`ir-stripe`) widths its stripe with this, so racer and striper
+    /// [`PathSelector::paths`], preserving probe order. Striped sessions
+    /// width their stripe with this, so racer and striper
     /// share one selection path — `best_k(ctx, 1)` is exactly the path
     /// the racer would commit to first. Selectors with a smarter
     /// notion of "best" (e.g. rate-ordered) may override.

@@ -1,38 +1,64 @@
-//! `ir-stripe` — mHTTP-style multi-source range striping.
+//! `ir-stripe` — the socket-side chunk claim queue for multi-source
+//! range striping.
 //!
-//! The paper's protocol is winner-take-all: the probe race picks one
-//! path and the whole remainder rides it, so a prediction that goes
-//! stale right after the decision is paid for until the horizon (the
-//! penalty tail of the variability studies). This crate generalizes
-//! the remainder phase: partition the remaining `n − x` bytes into
-//! chunks and fetch disjoint chunks concurrently over the **direct
-//! path plus the best `k` indirect candidates**, tracking a per-path
-//! EWMA rate and reassigning remaining bytes when a path stalls, dies,
-//! or drifts — so a stale single-path prediction costs one chunk, not
-//! the whole file.
-//!
-//! * [`plan`] — [`plan::partition`] (near-equal chunking) and
-//!   [`plan::ChunkQueue`] (the atomic claim queue the socket-backed
-//!   striped client shares between per-path workers).
-//! * [`rate`] — [`rate::EwmaRate`], the per-path throughput tracker.
-//! * [`session`] — [`session::run_striped_paths_session_traced`], the
-//!   striped twin of `ir_core::run_paths_session_traced`: identical
-//!   prologue and probe phase, striped remainder. With
-//!   `SessionMode::Striped { chunks: 1, k: 1, .. }` on a healthy
-//!   network its record is bit-identical to the racing runner's
-//!   (pinned by `tests/differential.rs`).
-//!
-//! Configuration lives in `ir-core` ([`ir_core::SessionMode::Striped`]
-//! and [`ir_core::RebalanceConfig`]) so session fingerprints cover the
-//! striping knobs; this crate is the execution engine.
+//! Simulated striped sessions run in `ir-core`'s one session runner
+//! (`SessionMode::Striped`, scheduled by `ir_core::stripe`). This crate
+//! keeps what the real-socket striped client (`ir-relay`'s
+//! `download_striped`) shares between its per-path worker threads: a
+//! [`ChunkQueue`] over `ir_core::stripe::partition`'s chunks, each
+//! claimed with one atomic increment (model-checked under loom in
+//! `tests/permutation.rs`).
 
-pub mod plan;
-pub mod rate;
-pub mod session;
+use ir_core::stripe::ChunkRange;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-pub use plan::{partition, ChunkQueue, ChunkRange};
-pub use rate::EwmaRate;
-pub use session::{
-    run_striped_paths_session_stats, run_striped_paths_session_traced, PathStripeStats,
-    StripeStats, MAX_CHUNK_REASSIGNS,
-};
+/// A lock-free multi-claimer chunk queue: each worker thread claims the
+/// next unclaimed chunk with one `fetch_add`, so every chunk is claimed
+/// exactly once no matter how claims interleave.
+#[derive(Debug)]
+pub struct ChunkQueue {
+    chunks: Vec<ChunkRange>,
+    next: AtomicUsize,
+}
+
+impl ChunkQueue {
+    /// A queue over a fixed chunk list.
+    pub fn new(chunks: Vec<ChunkRange>) -> ChunkQueue {
+        ChunkQueue {
+            chunks,
+            next: AtomicUsize::new(0),
+        }
+    }
+
+    /// Claims the next unclaimed chunk, or `None` once all are taken.
+    pub fn claim(&self) -> Option<ChunkRange> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        self.chunks.get(i).copied()
+    }
+
+    /// Total chunks (claimed or not).
+    pub fn len(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// True when the queue was built over no chunks at all.
+    pub fn is_empty(&self) -> bool {
+        self.chunks.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ir_core::stripe::partition;
+
+    #[test]
+    fn queue_claims_each_chunk_once_in_order() {
+        let q = ChunkQueue::new(partition(0, 100, 4));
+        assert_eq!(q.len(), 4);
+        assert!(!q.is_empty());
+        let ids: Vec<u32> = std::iter::from_fn(|| q.claim().map(|c| c.id)).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3]);
+        assert!(q.claim().is_none(), "exhausted queue stays exhausted");
+    }
+}

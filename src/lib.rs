@@ -18,9 +18,8 @@
 //!   and intermediate-node selection policies.
 //! * [`policy`] — the path-selection policy plane: selectors that pick
 //!   direct/1-hop/multi-hop candidate paths (the §6 extension space).
-//! * [`stripe`] — mHTTP-style multi-source range striping: chunked
-//!   remainder over direct + best-k indirect paths with EWMA-driven
-//!   rebalancing.
+//! * [`stripe`] — the chunk claim queue behind real-socket striped
+//!   downloads (simulated striping is a `core` session mode).
 //! * [`workload`] — PlanetLab-like scenario generator with the paper's
 //!   node roster.
 //! * [`experiments`] — the harness reproducing every table and figure of
