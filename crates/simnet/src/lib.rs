@@ -44,6 +44,7 @@ pub mod partition;
 pub mod sim;
 pub mod soa;
 pub mod stable;
+mod table;
 pub mod time;
 pub mod topology;
 pub mod tracer;
@@ -59,7 +60,8 @@ pub mod prelude {
     pub use crate::faults::{FaultEvent, FaultPlan, FaultSpec};
     pub use crate::partition::{Components, FlowLinkPartition, UnionFind};
     pub use crate::sim::{
-        CompletedFlow, ConstCap, EngineMode, EngineStats, FlowId, Network, NoCap, RateCap,
+        CompletedFlow, ConstCap, EngineFootprint, EngineMode, EngineStats, FlowId, Network, NoCap,
+        RateCap,
     };
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{LinkId, Node, NodeId, NodeKind, Route, Sharing, Topology};

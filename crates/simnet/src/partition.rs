@@ -56,8 +56,9 @@ impl UnionFind {
         }
     }
 
-    /// Re-singletonises one element (used by lazy rebuilds that only
-    /// reset the elements they are about to re-union).
+    /// Re-singletonises one element. Sound only for an element no other
+    /// element points at, such as a departing flow's in
+    /// [`FlowLinkPartition`].
     pub fn isolate(&mut self, x: u32) {
         self.ensure(x as usize + 1);
         self.parent[x as usize] = x;
@@ -249,10 +250,25 @@ impl Components {
 /// * Flow **arrival** is a pure union — O(α) per route link — so
 ///   arrival-heavy phases (a megaflow study starting 10⁶ transfers)
 ///   never rebuild.
-/// * Flow **departure** (completion or cancellation) cannot be expressed
-///   as a union; it marks the structure dirty, and the next query
-///   rebuilds from the live membership — lazily, so a burst of
-///   simultaneous completions costs one rebuild.
+/// * A departing **leaf** — a flow crossing at most one capacity link —
+///   is unlinked in place ([`FlowLinkPartition::on_flow_depart`]): it
+///   hangs off a single link, so its departure cannot split a
+///   component.
+/// * Any other departure cannot be expressed as a union; it marks the
+///   structure dirty, and the next query rebuilds from the live
+///   membership — lazily, so a burst of simultaneous departures costs
+///   one rebuild.
+///
+/// Link elements are numbered below every flow element and unions hang
+/// the larger root under the smaller, so every set holding a link is
+/// rooted at a link and a flow element is never anybody's parent. That
+/// is what makes unlinking a leaf — and reusing its slot for a later
+/// arrival — exact: no other element points at it.
+///
+/// Every set also carries a circular member list and a live-flow count,
+/// so the engine can enumerate just the components it must re-solve
+/// ([`FlowLinkPartition::members`]) and count components
+/// ([`FlowLinkPartition::components`]) without a pass over all flows.
 ///
 /// The canonical component numbering produced by
 /// [`FlowLinkPartition::components_into`] is a pure function of the live
@@ -264,6 +280,14 @@ pub struct FlowLinkPartition {
     /// Links occupy elements `0..n_links`; flow slot `i` is element
     /// `n_links + i`.
     uf: UnionFind,
+    /// Circular doubly-linked member list of each set: successor and
+    /// predecessor element.
+    next: Vec<u32>,
+    prev: Vec<u32>,
+    /// Live flows in each set (meaningful at roots).
+    live: Vec<u32>,
+    /// Sets holding at least one live flow: the congestion components.
+    comps: usize,
     n_links: usize,
     dirty: bool,
     /// Rebuilds performed (telemetry).
@@ -276,15 +300,19 @@ impl FlowLinkPartition {
     /// A clean partition over a topology with `n_links` links and no
     /// flows yet.
     pub fn new(n_links: usize) -> Self {
-        let mut uf = UnionFind::new();
-        uf.reset(n_links);
-        FlowLinkPartition {
-            uf,
+        let mut p = FlowLinkPartition {
+            uf: UnionFind::new(),
+            next: Vec::new(),
+            prev: Vec::new(),
+            live: Vec::new(),
+            comps: 0,
             n_links,
             dirty: false,
             rebuilds: 0,
             incremental_adds: 0,
-        }
+        };
+        p.ensure(n_links);
+        p
     }
 
     /// True when a departure has invalidated the structure and the next
@@ -293,45 +321,173 @@ impl FlowLinkPartition {
         self.dirty
     }
 
-    /// Folds an arriving flow in incrementally. `links` are the
-    /// capacity-shared link ids of its route. A no-op while dirty (the
-    /// pending rebuild will see the flow in the live membership).
-    pub fn on_flow_start(&mut self, slot: u32, links: impl Iterator<Item = u32>) {
-        if self.dirty {
+    /// The union–find element of flow slot `slot`.
+    pub fn flow_element(&self, slot: u32) -> u32 {
+        self.n_links as u32 + slot
+    }
+
+    /// Union–find elements allocated so far: the links plus every flow
+    /// slot ever handed in. Slots that are reused keep this bounded by
+    /// the peak number of live flows.
+    pub fn elements(&self) -> usize {
+        self.uf.len()
+    }
+
+    /// Grows every per-element array to at least `n` elements (new ones
+    /// are flow-free singletons).
+    fn ensure(&mut self, n: usize) {
+        let from = self.uf.len();
+        if n > from {
+            self.uf.ensure(n);
+            self.next.extend(from as u32..n as u32);
+            self.prev.extend(from as u32..n as u32);
+            self.live.resize(n, 0);
+        }
+    }
+
+    /// Merges the sets of `a` and `b`, splicing their member lists.
+    fn join(&mut self, a: u32, b: u32) {
+        let ra = self.uf.find(a);
+        let rb = self.uf.find(b);
+        if ra == rb {
             return;
         }
-        let fe = self.n_links as u32 + slot;
-        self.uf.isolate(fe);
+        self.uf.union(ra, rb);
+        let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
+        if self.live[lo as usize] > 0 && self.live[hi as usize] > 0 {
+            self.comps -= 1;
+        }
+        self.live[lo as usize] += self.live[hi as usize];
+        let (na, nb) = (self.next[ra as usize], self.next[rb as usize]);
+        self.next[ra as usize] = nb;
+        self.prev[nb as usize] = ra;
+        self.next[rb as usize] = na;
+        self.prev[na as usize] = rb;
+    }
+
+    /// Adds flow `slot` as a new one-flow set, then unions it with
+    /// `links`.
+    fn add_flow(&mut self, slot: u32, links: impl Iterator<Item = u32>) {
+        let fe = self.flow_element(slot);
+        self.ensure(fe as usize + 1);
+        let x = fe as usize;
+        // A (re)used slot must be a flow-free singleton: the element of a
+        // departed leaf was unlinked, and a rebuild resets every element.
+        debug_assert!(
+            self.uf.find(fe) == fe && self.next[x] == fe && self.live[x] == 0,
+            "flow slot {slot} is still linked into a set"
+        );
+        self.live[x] = 1;
+        self.comps += 1;
         for l in links {
             debug_assert!((l as usize) < self.n_links);
-            self.uf.union(fe, l);
+            self.join(fe, l);
         }
+    }
+
+    /// Folds an arriving flow in incrementally. `links` are the
+    /// capacity-shared link ids of its route. While dirty it only makes
+    /// sure the flow's element exists (the pending rebuild will see the
+    /// flow in the live membership, if it is still live by then).
+    pub fn on_flow_start(&mut self, slot: u32, links: impl Iterator<Item = u32>) {
+        if self.dirty {
+            self.ensure(self.flow_element(slot) as usize + 1);
+            return;
+        }
+        self.add_flow(slot, links);
         self.incremental_adds += 1;
     }
 
-    /// Notes a departing flow; the structure is dirty until rebuilt.
+    /// Notes a departing flow without saying which; the structure is
+    /// dirty until rebuilt.
     pub fn on_flow_end(&mut self) {
         self.dirty = true;
     }
 
-    /// Starts a from-scratch rebuild: resets every link element (flow
-    /// elements are reset as [`FlowLinkPartition::rebuild_flow`] re-adds
-    /// them; stale elements of departed flows are never queried again).
-    pub fn begin_rebuild(&mut self) {
-        for l in 0..self.n_links as u32 {
-            self.uf.isolate(l);
+    /// Notes the departure of flow `slot`, which crossed
+    /// `capacity_links` capacity-shared links. A leaf (at most one such
+    /// link) is unlinked in place and its slot may be reused at once;
+    /// any other departure marks the structure dirty, and the slot must
+    /// not be reused before the rebuild. A no-op while dirty.
+    pub fn on_flow_depart(&mut self, slot: u32, capacity_links: usize) {
+        if self.dirty {
+            return;
         }
+        if capacity_links > 1 {
+            self.dirty = true;
+            return;
+        }
+        let fe = self.flow_element(slot);
+        let x = fe as usize;
+        let r = self.uf.find(fe) as usize;
+        debug_assert!(self.live[r] > 0, "departing flow {slot} is not live");
+        self.live[r] -= 1;
+        if self.live[r] == 0 {
+            self.comps -= 1;
+        }
+        let (p, n) = (self.prev[x], self.next[x]);
+        self.next[p as usize] = n;
+        self.prev[n as usize] = p;
+        self.next[x] = fe;
+        self.prev[x] = fe;
+        self.live[x] = 0;
+        // Never a parent (see the type docs), so isolating it leaves
+        // every other member's path to its root intact.
+        self.uf.isolate(fe);
+    }
+
+    /// Starts a from-scratch rebuild: resets every element — links and
+    /// all flow slots — to a flow-free singleton; live flows are re-added
+    /// with [`FlowLinkPartition::rebuild_flow`].
+    pub fn begin_rebuild(&mut self) {
+        let n = self.uf.len();
+        self.uf.reset(n);
+        for x in 0..n {
+            self.next[x] = x as u32;
+            self.prev[x] = x as u32;
+        }
+        self.live.iter_mut().for_each(|c| *c = 0);
+        self.comps = 0;
         self.dirty = false;
         self.rebuilds += 1;
     }
 
     /// Re-adds one live flow during a rebuild.
     pub fn rebuild_flow(&mut self, slot: u32, links: impl Iterator<Item = u32>) {
-        let fe = self.n_links as u32 + slot;
-        self.uf.isolate(fe);
-        for l in links {
-            debug_assert!((l as usize) < self.n_links);
-            self.uf.union(fe, l);
+        self.add_flow(slot, links);
+    }
+
+    /// Number of congestion components: sets holding at least one live
+    /// flow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called while dirty.
+    pub fn components(&self) -> usize {
+        assert!(!self.dirty, "partition queried while dirty");
+        self.comps
+    }
+
+    /// Representative of element `e`'s set.
+    pub fn find(&mut self, e: u32) -> u32 {
+        self.uf.find(e)
+    }
+
+    /// Live flows in the set whose representative is `root`.
+    pub fn live_flows(&self, root: u32) -> u32 {
+        self.live[root as usize]
+    }
+
+    /// Calls `each` on every element of `root`'s set, in list order
+    /// (links are the elements below `n_links`).
+    pub fn members(&self, root: u32, mut each: impl FnMut(u32)) {
+        let mut x = root;
+        loop {
+            each(x);
+            x = self.next[x as usize];
+            if x == root {
+                break;
+            }
         }
     }
 
@@ -352,7 +508,7 @@ impl FlowLinkPartition {
         assert!(!self.dirty, "partition queried while dirty");
         let n_links = self.n_links;
         for &s in active_slots {
-            self.uf.ensure(n_links + s as usize + 1);
+            self.ensure(n_links + s as usize + 1);
         }
         let uf = &mut self.uf;
         out.extract(

@@ -9,13 +9,16 @@
 //! completion, or the caller's horizon. Between boundaries every rate is
 //! constant, so progress integrates exactly.
 //!
-//! Two allocation engines share that boundary loop (see
-//! [`EngineMode`]): the default *incremental* engine maintains the
-//! in-use link set, a dense slot map, cached effective link rates (with
-//! a lazy-invalidation heap of upcoming rate changes) and the last
-//! solved fair-share problem, re-solving only when some solver input
-//! actually changed; the *reference* engine rebuilds the whole problem
-//! from scratch every boundary and solves it with the naive
+//! Active flows live in a flat table of parallel arrays, ascending by
+//! flow id (`table.rs`); finished and cancelled flows keep only a
+//! compact per-id record. Two allocation engines share the boundary
+//! loop (see [`EngineMode`]): the default *incremental* engine maintains
+//! the in-use link set, cached effective link rates (with a
+//! lazy-invalidation heap of upcoming rate changes), the congestion
+//! components of the current problem, and each flow's last solved rate,
+//! and re-solves only the components whose inputs actually changed; the
+//! *reference* engine rebuilds the whole problem from scratch every
+//! boundary and solves it with the naive
 //! [`crate::fairshare::reference_rates`] oracle. The two are held
 //! bit-identical by the differential suite in
 //! `tests/engine_equivalence.rs` (invalidation rules: DESIGN.md §10).
@@ -30,8 +33,13 @@ use crate::bandwidth::BandwidthProcess;
 use crate::events::EventQueue;
 use crate::fairshare::{max_min_rates, AllocFlow};
 use crate::faults::{FaultEvent, FaultPlan};
+use crate::partition::{
+    merge_component_rates, split_component_ranges, Components, FlowLinkPartition,
+};
+use crate::soa::{solve_component_in, SlabView};
+use crate::table::FlowTable;
 use crate::time::{SimDuration, SimTime};
-use crate::topology::{LinkId, Route, Topology};
+use crate::topology::{LinkId, Route, Sharing, Topology};
 use ir_telemetry::trace::{Event, EventKind};
 use ir_telemetry::Telemetry;
 use std::cmp::Reverse;
@@ -52,6 +60,13 @@ pub trait RateCap: Send + Sync {
     /// change, or `None` if it is constant from `age` on. Used to
     /// schedule re-allocation boundaries; a conservative (too frequent)
     /// answer is correct but slower.
+    ///
+    /// `None` is a promise the engine acts on: once a flow's ceiling
+    /// answers `None`, the incremental engines stop calling both
+    /// [`RateCap::cap`] and this method for that flow and keep the last
+    /// [`RateCap::cap`] value (queried at the same age) for the rest of
+    /// its life. An implementation must therefore return `None` only
+    /// when the ceiling truly no longer depends on age or progress.
     fn next_cap_change(&mut self, age: SimDuration) -> Option<SimDuration>;
 
     /// Clones into a box (object-safe `Clone`).
@@ -123,28 +138,25 @@ impl CompletedFlow {
     }
 }
 
-struct FlowState {
-    route: Route,
-    bytes_total: u64,
-    bytes_done: f64,
+/// What the engine keeps of every flow it ever started, by id: the
+/// compact record behind [`Network::completion`],
+/// [`Network::flow_progress`] and [`Network::is_active`]. Everything
+/// else about an active flow lives in its [`FlowTable`] row.
+#[derive(Debug, Clone, Copy)]
+struct FlowRecord {
+    bytes: u64,
     started: SimTime,
-    cap: Box<dyn RateCap>,
-    finished: Option<SimTime>,
-    cancelled: bool,
+    end: FlowEnd,
 }
 
-impl Clone for FlowState {
-    fn clone(&self) -> Self {
-        FlowState {
-            route: self.route.clone(),
-            bytes_total: self.bytes_total,
-            bytes_done: self.bytes_done,
-            started: self.started,
-            cap: self.cap.clone_box(),
-            finished: self.finished,
-            cancelled: self.cancelled,
-        }
-    }
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum FlowEnd {
+    /// Still transferring; the flow has a table row.
+    Active,
+    /// Completed at this instant.
+    Finished(SimTime),
+    /// Cancelled with this many bytes transferred.
+    Cancelled(u64),
 }
 
 /// Engine counters, for performance diagnostics and tests.
@@ -153,9 +165,10 @@ pub struct EngineStats {
     /// Boundary steps processed (rate changes, cap changes,
     /// completions, horizons).
     pub boundaries: u64,
-    /// Boundary steps that assembled the fair-share problem and ran the
-    /// max–min solver. Always ≤ `boundaries`; the gap is the work the
-    /// incremental engine avoided.
+    /// Boundary steps that found some solver input changed and ran the
+    /// max–min solve (the incremental engines re-solve only the
+    /// congestion components whose inputs moved). Always ≤
+    /// `boundaries`; the gap is the work the incremental engine avoided.
     pub full_solves: u64,
     /// Boundary steps that proved every solver input bitwise unchanged
     /// and reused the cached allocation instead of solving.
@@ -166,10 +179,26 @@ pub struct EngineStats {
     pub flows_completed: u64,
     /// Flows cancelled before completion.
     pub flows_cancelled: u64,
-    /// Congestion components solved across all full solves (the
-    /// incremental and sharded engines solve per component; the
-    /// reference engine does not track this — it stays 0 there).
+    /// Congestion components of the problem, summed over all full
+    /// solves — every component counts, re-solved or reused (the
+    /// incremental and sharded engines track this; the reference engine
+    /// stays at 0).
     pub component_solves: u64,
+}
+
+/// Sizes of the engine's per-flow state. Every figure is bounded by the
+/// peak number of simultaneously active flows, however many flows were
+/// started over the network's life; only the compact per-id record of
+/// each flow (16–32 bytes) grows with flows started.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EngineFootprint {
+    /// Rows the active-flow table can hold without reallocating.
+    pub table_capacity: usize,
+    /// Flow slots handed out (a slot is reused once its flow ends).
+    pub flow_slots: usize,
+    /// Union–find elements of the congestion partition: one per link
+    /// plus one per flow slot.
+    pub partition_elements: usize,
 }
 
 /// Which allocation engine [`Network`] runs; see the module docs.
@@ -183,7 +212,7 @@ pub struct EngineStats {
 /// (the incremental caches are maintained in both modes).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EngineMode {
-    /// Dirty-tracked caches + solve skipping (the default).
+    /// Dirty-tracked caches + per-component re-solves (the default).
     #[default]
     Incremental,
     /// Brute-force rebuild + [`crate::fairshare::reference_rates`]
@@ -194,45 +223,45 @@ pub enum EngineMode {
     /// Bit-identical to [`EngineMode::Incremental`] at **any** thread
     /// count: congestion components are solved on disjoint state and
     /// merged in stable component order, and the parallel reductions
-    /// (event-horizon minima) are order-insensitive integer/`f64::min`
-    /// folds. `threads == 0` or `1` degenerates to the sequential path.
+    /// (event-horizon minima) are order-insensitive integer folds.
+    /// `threads == 0` or `1` degenerates to the sequential path.
     Sharded {
         /// Worker-thread budget for the parallel phases.
         threads: usize,
     },
 }
 
-/// Marker for "link not in the current fair-share problem" in
-/// [`EngineCache::slot_of`].
-const NO_SLOT: u32 = u32::MAX;
-
 /// Dirty-tracked state the incremental engine maintains across
 /// boundaries. Everything here is *derived* — it can be rebuilt from
-/// the network at any time — and is updated in both engine modes so
-/// switching modes mid-run stays sound.
+/// the network at any time — and membership is maintained in both
+/// engine modes so switching modes mid-run stays sound.
 ///
 /// Invalidation rules (DESIGN.md §10):
-/// * flow start / completion / cancellation → `flows_dirty`, and
-///   `links_dirty` when a link's crossing-flow count crosses zero;
+/// * flow start / completion / cancellation → `have_solution = false`,
+///   the flow's partition element (start) or capacity links (end)
+///   seeded, and `links_dirty` when a link's crossing-flow count
+///   crosses zero;
 /// * a link's cached rate segment expiring (`rate_until` reached) →
 ///   refresh via the `change_heap`;
 /// * fault application / plan change → `faults_fired` (effective rates
 ///   recomputed wholesale — the factor is a few array loads);
-/// * any bitwise change to a solver input → full re-solve; otherwise
-///   the cached `solution` is provably still the answer, because the
-///   solver is a pure function of `(link caps, flow links, flow caps)`.
+/// * a `Capacity` link's effective rate or a flow's folded cap moving
+///   bitwise → its component is seeded for re-solving; a `PerFlow`
+///   link's effective rate moving → `refold`;
+/// * any bitwise change to a solver input → full solve, which re-solves
+///   exactly the seeded components; every other component keeps its
+///   cached rates, because the solver is a pure function of each
+///   component's `(link caps, flow links, flow caps)`.
 #[derive(Clone)]
 struct EngineCache {
+    /// Whether each link is [`Sharing::Capacity`] (else `PerFlow`).
+    is_capacity: Vec<bool>,
     /// Number of active flows crossing each link.
     link_refs: Vec<u32>,
-    /// Links with `link_refs > 0`, ascending — the dense problem slots.
+    /// Links with `link_refs > 0`, ascending.
     in_use: Vec<u32>,
-    /// Link index → slot in `in_use`, or [`NO_SLOT`].
-    slot_of: Vec<u32>,
     /// The in-use set changed (some `link_refs` crossed zero).
     links_dirty: bool,
-    /// The active flow set changed.
-    flows_dirty: bool,
     /// Fault events applied (or the plan changed) since the last
     /// boundary; effective rates must be re-derived.
     faults_fired: bool,
@@ -250,47 +279,49 @@ struct EngineCache {
     /// superseded refreshes or out-of-use links — are discarded), so
     /// duplicates are harmless.
     change_heap: BinaryHeap<Reverse<(SimTime, u32)>>,
-    /// In-use links with [`Sharing::Capacity`], ascending — the links
-    /// that actually enter the max–min problem (PerFlow links fold into
-    /// flow caps and are arithmetically inert there). Rebuilt alongside
-    /// `in_use`.
-    cap_in_use: Vec<u32>,
-    /// Link index → slot in `cap_in_use`, or [`NO_SLOT`].
-    cap_slot_of: Vec<u32>,
-    /// The solver problem in struct-of-arrays form: `flow_off` /
-    /// `flow_links` (capacity-slot space) rebuilt when `flows_dirty`,
-    /// `flow_cap` re-folded every boundary, `link_cap` refilled from
-    /// `eff_rate` at each solve.
-    prob: crate::soa::ProblemSlab,
-    /// Per-active-flow [`Sharing::PerFlow`] link ids (global), CSR —
-    /// the links whose rates fold into that flow's cap.
-    fold_off: Vec<u32>,
-    /// CSR arena for `fold_off`.
-    fold_links: Vec<u32>,
-    /// Active flow indices, ascending (mirrors the `active` list the
-    /// solve was handed; these are the partition's flow elements).
-    active_slots: Vec<u32>,
+    /// Some `PerFlow` link's effective rate moved: frozen flows' folded
+    /// caps must be re-derived from their kept own caps.
+    refold: bool,
+    /// Table rows whose ceiling is still queried every boundary.
+    unfrozen: usize,
     /// Incrementally-maintained flow↔capacity-link union–find.
-    partition: crate::partition::FlowLinkPartition,
-    /// Congestion components of the current problem (solve scratch).
-    comps: crate::partition::Components,
-    /// Per-worker solver scratch (index 0 serves the sequential path).
+    partition: FlowLinkPartition,
+    /// Flow id holding each partition slot.
+    slot_owner: Vec<u64>,
+    /// Slots of departed flows, free for reuse.
+    free_slots: Vec<u32>,
+    /// Partition elements whose components must be re-solved at the
+    /// next full solve.
+    seeds: Vec<u32>,
+    /// Every component must be re-solved: the cached rates did not come
+    /// from the per-component solver.
+    all_dirty: bool,
+    /// Solve scratch: component roots collected, and a mark per
+    /// partition element.
+    roots: Vec<u32>,
+    root_mark: Vec<bool>,
+    /// Solve scratch: flow ids of the component being collected.
+    comp_ids: Vec<u64>,
+    /// The components being re-solved (flows are table rows, links are
+    /// link ids).
+    comps: Components,
+    /// Per-worker scratch (index 0 serves the sequential path).
     workers: Vec<WorkerScratch>,
-    /// The last solver output, reusable while inputs are unchanged.
-    solution: Vec<f64>,
-    /// `solution`/`prob` describe the current active set.
+    /// The table's rates are the allocation of the current inputs.
     have_solution: bool,
 }
 
-/// Per-worker scratch for component solves: full-problem-size arrays the
-/// kernels initialise per component. Workers write rates into their own
-/// `rate` buffer; the solve scatters them back in component order.
+/// Per-worker scratch for the chunked row loops and component solves:
+/// full-problem-size solver arrays the kernels initialise per
+/// component, plus the rows one chunk seeded or completed.
 #[derive(Clone, Default)]
 struct WorkerScratch {
     frozen: Vec<bool>,
     residual: Vec<f64>,
     active_on: Vec<u32>,
     rate: Vec<f64>,
+    seeds: Vec<u32>,
+    completed: Vec<u32>,
 }
 
 impl WorkerScratch {
@@ -298,62 +329,66 @@ impl WorkerScratch {
         self.frozen.resize(flows, false);
         self.residual.resize(links, 0.0);
         self.active_on.resize(links, 0);
-        self.rate.resize(flows, 0.0);
     }
 }
 
 impl EngineCache {
-    fn new(links: usize) -> Self {
+    fn new(topo: &Topology) -> Self {
+        let links = topo.link_count();
         EngineCache {
+            is_capacity: (0..links)
+                .map(|l| topo.link(LinkId(l as u32)).sharing == Sharing::Capacity)
+                .collect(),
             link_refs: vec![0; links],
             in_use: Vec::new(),
-            slot_of: vec![NO_SLOT; links],
             links_dirty: true,
-            flows_dirty: true,
             faults_fired: false,
             raw_rate: vec![0.0; links],
             rate_until: vec![SimTime::ZERO; links],
             eff_rate: vec![0.0; links],
             change_heap: BinaryHeap::new(),
-            cap_in_use: Vec::new(),
-            cap_slot_of: vec![NO_SLOT; links],
-            prob: crate::soa::ProblemSlab::default(),
-            fold_off: Vec::new(),
-            fold_links: Vec::new(),
-            active_slots: Vec::new(),
-            partition: crate::partition::FlowLinkPartition::new(links),
-            comps: crate::partition::Components::default(),
+            refold: false,
+            unfrozen: 0,
+            partition: FlowLinkPartition::new(links),
+            slot_owner: Vec::new(),
+            free_slots: Vec::new(),
+            seeds: Vec::new(),
+            all_dirty: false,
+            roots: Vec::new(),
+            root_mark: Vec::new(),
+            comp_ids: Vec::new(),
+            comps: Components::default(),
             workers: Vec::new(),
-            solution: Vec::new(),
             have_solution: false,
         }
     }
 
-    /// A flow on `route` became active.
-    fn acquire(&mut self, route: &Route) {
-        for l in &route.links {
+    /// A flow crossing `links` became active.
+    fn acquire(&mut self, links: &[LinkId]) {
+        for l in links {
             let lu = l.0 as usize;
             self.link_refs[lu] += 1;
             if self.link_refs[lu] == 1 {
                 self.links_dirty = true;
             }
         }
-        self.flows_dirty = true;
         self.have_solution = false;
     }
 
-    /// A flow on `route` completed or was cancelled.
-    fn release(&mut self, route: &Route) {
-        for l in &route.links {
-            let lu = l.0 as usize;
-            self.link_refs[lu] -= 1;
-            if self.link_refs[lu] == 0 {
-                self.links_dirty = true;
-            }
+    /// A flow crossing link `l` left.
+    fn release(&mut self, l: u32) {
+        let lu = l as usize;
+        self.link_refs[lu] -= 1;
+        if self.link_refs[lu] == 0 {
+            self.links_dirty = true;
         }
-        self.flows_dirty = true;
-        self.have_solution = false;
-        self.partition.on_flow_end();
+    }
+
+    /// Enough worker scratch for `n` chunks.
+    fn workers_for(&mut self, n: usize) {
+        if self.workers.len() < n {
+            self.workers.resize(n, WorkerScratch::default());
+        }
     }
 }
 
@@ -379,125 +414,178 @@ fn par_chunk_count(mode: EngineMode, n: usize) -> usize {
     }
 }
 
-/// A contiguous k-range of the ascending active list paired with the
-/// matching disjoint window of the flow table — the unit of work for
-/// the sharded engine's parallel per-flow loops. Flow `i` (for `i ∈
-/// active`) lives at `flows[i - base]`; dense index `k` of the `j`-th
-/// entry is `k0 + j`.
-struct FlowChunk<'a> {
-    k0: usize,
-    base: usize,
-    active: &'a [usize],
-    flows: &'a mut [FlowState],
-}
-
-/// Splits `flows` into [`FlowChunk`]s of `per` active flows each.
-/// Windows are disjoint because `active` is ascending, so the chunks can
-/// be handed to worker threads directly.
-fn chunk_active<'a>(
-    mut flows: &'a mut [FlowState],
-    active: &'a [usize],
-    per: usize,
-) -> Vec<FlowChunk<'a>> {
-    let mut out = Vec::new();
-    let mut consumed = 0usize;
-    let mut k0 = 0usize;
-    while k0 < active.len() {
-        let k1 = (k0 + per).min(active.len());
-        let lo = active[k0];
-        let hi = active[k1 - 1] + 1;
-        let rest = std::mem::take(&mut flows);
-        let (_, rest) = rest.split_at_mut(lo - consumed);
-        let (win, rest) = rest.split_at_mut(hi - lo);
-        flows = rest;
-        consumed = hi;
-        out.push(FlowChunk {
-            k0,
-            base: lo,
-            active: &active[k0..k1],
-            flows: win,
-        });
-        k0 = k1;
+/// Runs `work` on every chunk — inline when not `parallel`, else one
+/// scoped thread per chunk — and hands the results to `fold` in chunk
+/// order. A worker's panic is re-raised with its own payload, earliest
+/// chunk first, so a panicking input fails alike in every mode.
+fn run_chunks<T: Send, R: Send>(
+    parallel: bool,
+    chunks: impl Iterator<Item = T>,
+    work: impl Fn(T) -> R + Sync,
+    mut fold: impl FnMut(R),
+) {
+    if !parallel {
+        chunks.for_each(|c| fold(work(c)));
+        return;
     }
-    out
+    std::thread::scope(|s| {
+        let work = &work;
+        let handles: Vec<_> = chunks.map(|c| s.spawn(move || work(c))).collect();
+        let mut panicked = None;
+        for h in handles {
+            match h.join() {
+                Ok(r) => fold(r),
+                Err(e) => {
+                    panicked.get_or_insert(e);
+                }
+            }
+        }
+        if let Some(e) = panicked {
+            std::panic::resume_unwind(e);
+        }
+    });
 }
 
-/// One chunk of the folded-cap re-query: queries each flow's own cap,
-/// folds in its PerFlow link rates, and writes the chunk's slice of the
-/// slab flow caps. Returns whether any cap moved (bitwise).
-fn fold_caps_chunk(
-    ch: &mut FlowChunk<'_>,
-    caps: &mut [f64],
-    fold_off: &[u32],
-    fold_links: &[u32],
-    eff_rate: &[f64],
+/// Shared inputs of the folded-cap pass.
+struct FoldPass<'a> {
     t: SimTime,
-) -> bool {
-    let mut changed = false;
-    for (j, &i) in ch.active.iter().enumerate() {
-        let k = ch.k0 + j;
-        let f = &mut ch.flows[i - ch.base];
-        let age = t - f.started;
-        let mut cap = f.cap.cap(age, f.bytes_done as u64);
-        for &l in &fold_links[fold_off[k] as usize..fold_off[k + 1] as usize] {
-            cap = cap.min(eff_rate[l as usize]);
-        }
-        if cap.to_bits() != caps[j].to_bits() {
-            caps[j] = cap;
-            changed = true;
-        }
-    }
-    changed
+    /// Re-fold frozen rows too (a `PerFlow` link rate moved).
+    refold: bool,
+    frozen: &'a [bool],
+    started: &'a [SimTime],
+    done: &'a [f64],
+    slot: &'a [u32],
+    fold_off: &'a [u32],
+    fold_links: &'a [u32],
+    eff_rate: &'a [f64],
+    /// Partition element of slot 0.
+    elem0: u32,
 }
 
-/// One chunk of the per-flow boundary scan: min over the chunk of each
-/// flow's next cap change and projected completion time.
-fn flow_boundary_chunk(
-    ch: &mut FlowChunk<'_>,
-    rates: &[f64],
+impl FoldPass<'_> {
+    /// Folds the caps of rows `k0..k0 + fns.len()`: queries each
+    /// unfrozen row's own ceiling, folds in its `PerFlow` link rates,
+    /// and seeds the rows whose folded cap moved (bitwise). Returns
+    /// whether any did.
+    fn run(
+        &self,
+        k0: usize,
+        fns: &mut [Box<dyn RateCap>],
+        own: &mut [f64],
+        caps: &mut [f64],
+        seeds: &mut Vec<u32>,
+    ) -> bool {
+        seeds.clear();
+        let mut changed = false;
+        for j in 0..fns.len() {
+            let k = k0 + j;
+            let mut cap = if !self.frozen[k] {
+                own[j] = fns[j].cap(self.t - self.started[k], self.done[k] as u64);
+                own[j]
+            } else if self.refold {
+                own[j]
+            } else {
+                continue;
+            };
+            let links = &self.fold_links[self.fold_off[k] as usize..self.fold_off[k + 1] as usize];
+            for &l in links {
+                cap = cap.min(self.eff_rate[l as usize]);
+            }
+            assert!(cap >= 0.0 && !cap.is_nan(), "bad flow cap {cap}");
+            if cap.to_bits() != caps[j].to_bits() {
+                caps[j] = cap;
+                seeds.push(self.elem0 + self.slot[k]);
+                changed = true;
+            }
+        }
+        changed
+    }
+}
+
+/// Shared inputs of the per-row boundary scan.
+struct ScanPass<'a> {
     t: SimTime,
     until: SimTime,
-) -> SimTime {
-    let mut boundary = until;
-    for (j, &i) in ch.active.iter().enumerate() {
-        let k = ch.k0 + j;
-        let f = &mut ch.flows[i - ch.base];
-        let age = t - f.started;
-        if let Some(next_age) = f.cap.next_cap_change(age) {
-            debug_assert!(next_age > age, "cap change not in the future");
-            boundary = boundary.min(f.started + next_age);
-        }
-        let remaining = f.bytes_total as f64 - f.bytes_done;
-        if rates[k] > 0.0 && remaining > 0.0 {
-            let dt = SimDuration::from_secs_f64_ceil(remaining / rates[k]);
-            let dt = if dt.is_zero() {
-                SimDuration::from_micros(1)
-            } else {
-                dt
-            };
-            boundary = boundary.min(t.saturating_add(dt));
-        }
-    }
-    boundary
+    /// Query every row's ceiling and freeze none (the reference
+    /// engine).
+    query_all: bool,
+    id: &'a [u64],
+    started: &'a [SimTime],
+    total: &'a [u64],
+    done: &'a [f64],
+    rates: &'a [f64],
 }
 
-/// One chunk of progress integration; returns the flow indices that
-/// completed, ascending — concatenating per-chunk results in chunk
-/// order preserves the global ascending completion order.
-fn integrate_chunk(ch: &mut FlowChunk<'_>, rates: &[f64], dt: f64) -> Vec<usize> {
-    let mut done = Vec::new();
-    for (j, &i) in ch.active.iter().enumerate() {
-        let k = ch.k0 + j;
-        let f = &mut ch.flows[i - ch.base];
-        f.bytes_done = (f.bytes_done + rates[k] * dt).min(f.bytes_total as f64);
+impl ScanPass<'_> {
+    /// Scans rows `k0..k0 + fns.len()`: records each row's rate in
+    /// `out`, and returns the earliest of their next cap changes and
+    /// projected completions (or `until`) with the number of rows it
+    /// froze — a ceiling that reports no further change is never
+    /// queried again.
+    fn run(
+        &self,
+        k0: usize,
+        fns: &mut [Box<dyn RateCap>],
+        frozen: &mut [bool],
+        out: &mut [(FlowId, f64)],
+    ) -> (SimTime, usize) {
+        let mut boundary = self.until;
+        let mut froze = 0;
+        for j in 0..fns.len() {
+            let k = k0 + j;
+            let rate = self.rates[k];
+            out[j] = (FlowId(self.id[k]), rate);
+            if self.query_all || !frozen[j] {
+                let age = self.t - self.started[k];
+                match fns[j].next_cap_change(age) {
+                    Some(next_age) => {
+                        debug_assert!(next_age > age, "cap change not in the future");
+                        boundary = boundary.min(self.started[k] + next_age);
+                    }
+                    None if !self.query_all => {
+                        frozen[j] = true;
+                        froze += 1;
+                    }
+                    None => {}
+                }
+            }
+            let remaining = self.total[k] as f64 - self.done[k];
+            if rate > 0.0 && remaining > 0.0 {
+                let dt = SimDuration::from_secs_f64_ceil(remaining / rate);
+                let dt = if dt.is_zero() {
+                    SimDuration::from_micros(1)
+                } else {
+                    dt
+                };
+                boundary = boundary.min(self.t.saturating_add(dt));
+            }
+        }
+        (boundary, froze)
+    }
+}
+
+/// Integrates rows `k0..k0 + done.len()` over `dt` seconds and lists
+/// the rows that completed, ascending.
+fn integrate_rows(
+    k0: usize,
+    done: &mut [f64],
+    total: &[u64],
+    rates: &[f64],
+    dt: f64,
+    completed: &mut Vec<u32>,
+) {
+    completed.clear();
+    for (j, d) in done.iter_mut().enumerate() {
+        let k = k0 + j;
+        let bytes = total[k] as f64;
+        *d = (*d + rates[k] * dt).min(bytes);
         // Half-byte tolerance absorbs fp residue from the ceil rounding
         // of dt.
-        if f.bytes_total as f64 - f.bytes_done < 0.5 {
-            f.bytes_done = f.bytes_total as f64;
-            done.push(i);
+        if bytes - *d < 0.5 {
+            *d = bytes;
+            completed.push(k as u32);
         }
     }
-    done
 }
 
 /// Live state of an installed [`FaultPlan`]: the pending schedule plus
@@ -512,14 +600,17 @@ struct FaultState {
 
 /// The simulated network: topology + per-link bandwidth processes +
 /// active flows + the clock.
+#[derive(Clone)]
 pub struct Network {
     topo: Topology,
     procs: Vec<Box<dyn BandwidthProcess>>,
-    flows: Vec<FlowState>,
-    /// Indices of flows that are neither finished nor cancelled. Kept
-    /// separately so long-running experiments (tens of thousands of
-    /// completed flows) do not rescan history every boundary.
-    active: std::collections::BTreeSet<usize>,
+    /// Every flow ever started, by id.
+    records: Vec<FlowRecord>,
+    /// The active flows.
+    table: FlowTable,
+    /// Table rows leaving at the next compaction (cancelled flows
+    /// between boundaries; completed ones within a boundary step).
+    gone: Vec<u32>,
     now: SimTime,
     stats: EngineStats,
     /// Fault plane; `None` (the default, and what an empty plan
@@ -532,28 +623,10 @@ pub struct Network {
     telemetry: Option<Arc<Telemetry>>,
     /// Which allocation engine runs the boundary steps.
     mode: EngineMode,
-    /// Incremental-engine state (maintained in both modes).
+    /// Incremental-engine state (membership maintained in both modes).
     cache: EngineCache,
     /// `(flow, rate)` pairs the most recent boundary step integrated.
     last_rates: Vec<(FlowId, f64)>,
-}
-
-impl Clone for Network {
-    fn clone(&self) -> Self {
-        Network {
-            topo: self.topo.clone(),
-            procs: self.procs.clone(),
-            flows: self.flows.clone(),
-            active: self.active.clone(),
-            now: self.now,
-            stats: self.stats,
-            faults: self.faults.clone(),
-            telemetry: self.telemetry.clone(),
-            mode: self.mode,
-            cache: self.cache.clone(),
-            last_rates: self.last_rates.clone(),
-        }
-    }
 }
 
 impl Network {
@@ -566,18 +639,19 @@ impl Network {
                     as Box<dyn BandwidthProcess>
             })
             .collect();
-        let links = topo.link_count();
+        let cache = EngineCache::new(&topo);
         Network {
             topo,
             procs,
-            flows: Vec::new(),
-            active: std::collections::BTreeSet::new(),
+            records: Vec::new(),
+            table: FlowTable::new(),
+            gone: Vec::new(),
             now: SimTime::ZERO,
             stats: EngineStats::default(),
             faults: None,
             telemetry: None,
             mode: EngineMode::default(),
-            cache: EngineCache::new(links),
+            cache,
             last_rates: Vec::new(),
         }
     }
@@ -585,6 +659,15 @@ impl Network {
     /// Engine counters since construction (clones inherit the donor's).
     pub fn stats(&self) -> EngineStats {
         self.stats
+    }
+
+    /// Sizes of the engine's per-flow state (see [`EngineFootprint`]).
+    pub fn engine_footprint(&self) -> EngineFootprint {
+        EngineFootprint {
+            table_capacity: self.table.capacity(),
+            flow_slots: self.cache.slot_owner.len(),
+            partition_elements: self.cache.partition.elements(),
+        }
     }
 
     /// Selects the allocation engine; see [`EngineMode`].
@@ -767,57 +850,76 @@ impl Network {
     }
 
     /// Current fair-share allocation of every active flow at this
-    /// instant: `(flow, route links, allocated rate)`. Diagnostic /
-    /// test accessor — it recomputes shares without advancing time and
-    /// never changes engine state beyond lazily extending process
-    /// timelines (which is query-stable).
+    /// instant: `(flow, route links, allocated rate)`, ascending by
+    /// flow. A flow's links are listed `Capacity` links first, then
+    /// `PerFlow` links, each group in route order. Diagnostic / test
+    /// accessor — it recomputes shares without advancing time and never
+    /// changes engine state beyond lazily extending process timelines
+    /// (which is query-stable).
     pub fn active_flow_allocation(&mut self) -> Vec<(FlowId, Vec<LinkId>, f64)> {
         self.apply_due_faults();
-        let active = self.active_indices();
-        let (caps, alloc_flows) = self.scratch_problem(&active);
+        self.compact_cancelled();
+        let (caps, alloc_flows) = self.scratch_problem();
         let rates = max_min_rates(&caps, &alloc_flows);
-        active
-            .iter()
-            .zip(rates)
-            .map(|(&i, r)| (FlowId(i as u64), self.flows[i].route.links.clone(), r))
+        let t = &self.table;
+        rates
+            .into_iter()
+            .enumerate()
+            .map(|(k, r)| {
+                let links = t.cap_links_of(k).iter().chain(t.fold_links_of(k));
+                (FlowId(t.id[k]), links.map(|&l| LinkId(l)).collect(), r)
+            })
             .collect()
     }
 
     /// Starts a flow of `bytes` along `route` at the current time.
     pub fn start_flow(&mut self, route: Route, bytes: u64, cap: Box<dyn RateCap>) -> FlowId {
-        let id = FlowId(self.flows.len() as u64);
-        let finished = if bytes == 0 { Some(self.now) } else { None };
-        if finished.is_none() {
-            self.cache.acquire(&route);
-            let topo = &self.topo;
-            self.cache.partition.on_flow_start(
-                id.0 as u32,
-                route
-                    .links
-                    .iter()
-                    .filter(|l| topo.link(**l).sharing == crate::topology::Sharing::Capacity)
-                    .map(|l| l.0),
+        let id = FlowId(self.records.len() as u64);
+        let now = self.now;
+        let end = if bytes == 0 {
+            FlowEnd::Finished(now)
+        } else {
+            let c = &mut self.cache;
+            let slot = match c.free_slots.pop() {
+                Some(s) => {
+                    c.slot_owner[s as usize] = id.0;
+                    s
+                }
+                None => {
+                    c.slot_owner.push(id.0);
+                    (c.slot_owner.len() - 1) as u32
+                }
+            };
+            c.acquire(&route.links);
+            let is_cap = &c.is_capacity;
+            let links = || route.links.iter().map(|l| l.0);
+            let cap_links = links().filter(|&l| is_cap[l as usize]);
+            c.partition.on_flow_start(slot, cap_links.clone());
+            self.table.push(
+                id.0,
+                slot,
+                bytes,
+                now,
+                cap,
+                cap_links,
+                links().filter(|&l| !is_cap[l as usize]),
             );
-        }
-        self.flows.push(FlowState {
-            route,
-            bytes_total: bytes,
-            bytes_done: 0.0,
-            started: self.now,
-            cap,
-            finished,
-            cancelled: false,
+            c.seeds.push(c.partition.flow_element(slot));
+            c.unfrozen += 1;
+            FlowEnd::Active
+        };
+        self.records.push(FlowRecord {
+            bytes,
+            started: now,
+            end,
         });
-        if finished.is_none() {
-            self.active.insert(id.0 as usize);
-        }
         self.stats.flows_started += 1;
         if let Some(tel) = &self.telemetry {
             tel.metrics.counter("simnet_flows_started", vec![]).inc();
             tel.tracer.record(
-                Event::new(EventKind::FlowStart, self.now.as_micros(), id.0)
+                Event::new(EventKind::FlowStart, now.as_micros(), id.0)
                     .with_u64("bytes", bytes)
-                    .with_u64("hops", self.flows[id.0 as usize].route.links.len() as u64),
+                    .with_u64("hops", route.links.len() as u64),
             );
         }
         id
@@ -826,80 +928,138 @@ impl Network {
     /// Cancels a flow (it stops consuming bandwidth and will never
     /// complete). No-op if already finished or cancelled.
     pub fn cancel_flow(&mut self, id: FlowId) {
-        let f = &mut self.flows[id.0 as usize];
-        if f.finished.is_none() && !f.cancelled {
-            f.cancelled = true;
-            let done = f.bytes_done as u64;
-            self.cache.release(&f.route);
-            self.active.remove(&(id.0 as usize));
-            self.stats.flows_cancelled += 1;
-            if let Some(tel) = &self.telemetry {
-                tel.metrics.counter("simnet_flows_cancelled", vec![]).inc();
-                tel.tracer.record(
-                    Event::new(EventKind::FlowCancel, self.now.as_micros(), id.0)
-                        .with_u64("bytes_done", done),
-                );
-            }
+        if self.records[id.0 as usize].end != FlowEnd::Active {
+            return;
+        }
+        let k = self.table.seek(0, id.0);
+        let done = self.table.done[k] as u64;
+        self.records[id.0 as usize].end = FlowEnd::Cancelled(done);
+        // The row leaves the table at the next compaction, before any
+        // allocation is computed.
+        self.gone.push(k as u32);
+        self.stats.flows_cancelled += 1;
+        if let Some(tel) = &self.telemetry {
+            tel.metrics.counter("simnet_flows_cancelled", vec![]).inc();
+            tel.tracer.record(
+                Event::new(EventKind::FlowCancel, self.now.as_micros(), id.0)
+                    .with_u64("bytes_done", done),
+            );
         }
     }
 
     /// Bytes transferred so far by a flow.
     pub fn flow_progress(&self, id: FlowId) -> u64 {
-        self.flows[id.0 as usize].bytes_done as u64
+        let rec = &self.records[id.0 as usize];
+        match rec.end {
+            FlowEnd::Active => {
+                let k = self.table.seek(0, id.0);
+                self.table.done[k] as u64
+            }
+            FlowEnd::Finished(_) => rec.bytes as f64 as u64,
+            FlowEnd::Cancelled(done) => done,
+        }
     }
 
     /// Completion record of a flow, if it has finished.
     pub fn completion(&self, id: FlowId) -> Option<CompletedFlow> {
-        let f = &self.flows[id.0 as usize];
-        f.finished.map(|finished| CompletedFlow {
-            id,
-            bytes: f.bytes_total,
-            started: f.started,
-            finished,
-        })
+        let rec = &self.records[id.0 as usize];
+        match rec.end {
+            FlowEnd::Finished(finished) => Some(CompletedFlow {
+                id,
+                bytes: rec.bytes,
+                started: rec.started,
+                finished,
+            }),
+            _ => None,
+        }
     }
 
     /// True if a flow is still transferring.
     pub fn is_active(&self, id: FlowId) -> bool {
-        let f = &self.flows[id.0 as usize];
-        f.finished.is_none() && !f.cancelled
+        self.records[id.0 as usize].end == FlowEnd::Active
     }
 
-    fn active_indices(&self) -> Vec<usize> {
-        self.active.iter().copied().collect()
+    /// Removes the rows in `gone` (ascending) from the table in one
+    /// ordered pass, releasing their links, partition elements and
+    /// slots. With `finished_at`, they completed at that instant and
+    /// their completion records are returned in flow order.
+    fn remove_gone(&mut self, finished_at: Option<SimTime>) -> Vec<CompletedFlow> {
+        let gone = std::mem::take(&mut self.gone);
+        let mut out = Vec::new();
+        let c = &mut self.cache;
+        for &k in &gone {
+            let k = k as usize;
+            let caps = self.table.cap_links_of(k);
+            for &l in caps.iter().chain(self.table.fold_links_of(k)) {
+                c.release(l);
+            }
+            let slot = self.table.slot[k];
+            c.partition.on_flow_depart(slot, caps.len());
+            c.seeds.extend_from_slice(caps);
+            c.free_slots.push(slot);
+            if !self.table.frozen[k] {
+                c.unfrozen -= 1;
+            }
+            if let Some(at) = finished_at {
+                let id = self.table.id[k];
+                let rec = &mut self.records[id as usize];
+                rec.end = FlowEnd::Finished(at);
+                self.stats.flows_completed += 1;
+                out.push(CompletedFlow {
+                    id: FlowId(id),
+                    bytes: rec.bytes,
+                    started: rec.started,
+                    finished: at,
+                });
+            }
+        }
+        if !gone.is_empty() {
+            c.have_solution = false;
+            self.table.remove(&gone);
+        }
+        self.gone = gone;
+        self.gone.clear();
+        out
     }
 
-    /// Assembles the fair-share problem **from scratch**: the
-    /// brute-force path the engine used before the incremental caches
-    /// existed, kept verbatim as the reference. Returns `(link caps,
-    /// flows)` in dense slot order; [`EngineMode::Reference`] solves it
-    /// with the naive oracle every boundary, and the diagnostic
-    /// allocation accessor solves it with [`max_min_rates`].
+    /// Drops the rows of flows cancelled since the last compaction.
+    fn compact_cancelled(&mut self) {
+        if !self.gone.is_empty() {
+            self.gone.sort_unstable();
+            self.remove_gone(None);
+        }
+    }
+
+    /// Assembles the fair-share problem **from scratch** out of the
+    /// table — link rates straight from the processes, every flow's cap
+    /// re-queried — the brute-force path kept as the reference. Returns
+    /// `(link caps, flows)` in dense slot order, flows in table order;
+    /// [`EngineMode::Reference`] solves it with the naive oracle every
+    /// boundary, and the diagnostic allocation accessor solves it with
+    /// [`max_min_rates`].
     ///
     /// [`Sharing::PerFlow`] links do not couple flows: their process
     /// value folds into each crossing flow's own cap, and they enter the
     /// max–min problem with infinite capacity. [`Sharing::Capacity`]
     /// links are genuinely shared.
-    fn scratch_problem(&mut self, active: &[usize]) -> (Vec<f64>, Vec<AllocFlow>) {
-        use crate::topology::Sharing;
+    fn scratch_problem(&mut self) -> (Vec<f64>, Vec<AllocFlow>) {
         let t = self.now;
+        let table = &self.table;
         // Snapshot rates only for links in use; large scenarios have
         // thousands of links but a handful carry active flows.
-        let mut in_use: Vec<usize> = active
+        let mut in_use: Vec<usize> = table
+            .cap_links
             .iter()
-            .flat_map(|&i| self.flows[i].route.links.iter().map(|l| l.0 as usize))
+            .chain(&table.fold_links)
+            .map(|&l| l as usize)
             .collect();
         in_use.sort_unstable();
         in_use.dedup();
         // Dense remap: link index -> slot in the fair-share problem.
-        // Precomputed table, not a binary search per lookup — routes
-        // touch every link once per flow, so the old O(log n) probe per
-        // hop dominated wide scenarios.
         let mut slot = vec![usize::MAX; self.topo.link_count()];
         for (k, &l) in in_use.iter().enumerate() {
             slot[l] = k;
         }
-        let slot_of = |l: usize| slot[l];
         let factors: Vec<f64> = in_use.iter().map(|&l| self.fault_factor(l)).collect();
         let rates: Vec<f64> = in_use
             .iter()
@@ -914,24 +1074,17 @@ impl Network {
                 Sharing::PerFlow => f64::INFINITY,
             })
             .collect();
-        let alloc_flows: Vec<AllocFlow> = active
-            .iter()
-            .map(|&i| {
-                let f = &mut self.flows[i];
-                let age = t - f.started;
-                let mut cap = f.cap.cap(age, f.bytes_done as u64);
-                for l in &f.route.links {
-                    if self.topo.link(*l).sharing == Sharing::PerFlow {
-                        cap = cap.min(rates[slot_of(l.0 as usize)]);
-                    }
+        let table = &mut self.table;
+        let alloc_flows: Vec<AllocFlow> = (0..table.len())
+            .map(|k| {
+                let age = t - table.started[k];
+                let mut cap = table.cap_fn[k].cap(age, table.done[k] as u64);
+                for &l in table.fold_links_of(k) {
+                    cap = cap.min(rates[slot[l as usize]]);
                 }
+                let links = table.cap_links_of(k).iter().chain(table.fold_links_of(k));
                 AllocFlow {
-                    links: f
-                        .route
-                        .links
-                        .iter()
-                        .map(|l| slot_of(l.0 as usize))
-                        .collect(),
+                    links: links.map(|&l| slot[l as usize]).collect(),
                     cap,
                 }
             })
@@ -954,6 +1107,27 @@ impl Network {
         }
     }
 
+    /// Re-derives link `l`'s effective rate from its cached raw rate
+    /// and the fault plane. A bitwise move of a `Capacity` link seeds
+    /// its component and is reported as a solver-input change; a
+    /// `PerFlow` link reaches the solver only through folded per-flow
+    /// caps, so its move just schedules a re-fold.
+    fn update_eff_rate(&mut self, l: usize) -> bool {
+        let eff = self.cache.raw_rate[l] * self.fault_factor(l);
+        let c = &mut self.cache;
+        if eff.to_bits() == c.eff_rate[l].to_bits() {
+            return false;
+        }
+        c.eff_rate[l] = eff;
+        if c.is_capacity[l] {
+            c.seeds.push(l as u32);
+            true
+        } else {
+            c.refold = true;
+            false
+        }
+    }
+
     /// Records a full max–min solve in stats and telemetry (both engine
     /// modes).
     fn note_full_solve(&mut self, active_flows: usize) {
@@ -967,55 +1141,88 @@ impl Network {
         }
     }
 
-    /// The incremental engine's allocation at the current instant.
+    /// Re-folds the per-flow caps (unfrozen rows always, frozen rows
+    /// after a `PerFlow` rate move), chunked for the sharded engine.
+    /// Each unfrozen cap object sees one `cap` query per boundary at the
+    /// row's current age — the same sequence as the reference path's,
+    /// however the rows are chunked — until it freezes. Returns whether
+    /// any folded cap moved.
+    fn fold_caps(&mut self) -> bool {
+        let c = &mut self.cache;
+        if c.unfrozen == 0 && !c.refold {
+            return false;
+        }
+        let n = self.table.len();
+        let nchunks = par_chunk_count(self.mode, n);
+        let per = n.div_ceil(nchunks).max(1);
+        c.workers_for(nchunks);
+        let FlowTable {
+            slot,
+            done,
+            started,
+            cap_fn,
+            frozen,
+            own_cap,
+            cap,
+            fold_off,
+            fold_links,
+            ..
+        } = &mut self.table;
+        let pass = FoldPass {
+            t: self.now,
+            refold: std::mem::take(&mut c.refold),
+            frozen,
+            started,
+            done,
+            slot,
+            fold_off,
+            fold_links,
+            eff_rate: &c.eff_rate,
+            elem0: c.partition.flow_element(0),
+        };
+        let chunks = cap_fn
+            .chunks_mut(per)
+            .zip(own_cap.chunks_mut(per))
+            .zip(cap.chunks_mut(per))
+            .zip(c.workers.iter_mut())
+            .enumerate();
+        let mut changed = false;
+        run_chunks(
+            nchunks > 1,
+            chunks,
+            |(i, (((fns, own), caps), w))| pass.run(i * per, fns, own, caps, &mut w.seeds),
+            |moved| changed |= moved,
+        );
+        for w in &c.workers[..nchunks] {
+            c.seeds.extend_from_slice(&w.seeds);
+        }
+        changed
+    }
+
+    /// The incremental engine's allocation at the current instant,
+    /// left in the table's `rate` column.
     ///
     /// Bit-identical to solving [`Network::scratch_problem`] by
     /// construction: every cached quantity is refreshed the moment it
     /// can differ from the scratch value (see the [`EngineCache`]
     /// invalidation rules), cached values are compared **bitwise**
-    /// against fresh ones, and the solve is skipped only when every
-    /// solver input is bitwise unchanged from the cached solution's —
-    /// in which case re-solving (a pure function) would reproduce the
-    /// cached output exactly.
-    fn incremental_rates(&mut self, active: &[usize]) -> Vec<f64> {
-        use crate::topology::Sharing;
+    /// against fresh ones, and a component is re-solved unless every
+    /// one of its solver inputs is bitwise unchanged since its rates
+    /// were computed — in which case re-solving (a pure function) would
+    /// reproduce them exactly.
+    fn incremental_rates(&mut self) {
         let t = self.now;
         // Did any solver input change since the cached solution?
         let mut changed = false;
-        // Flow membership changes imply slot-map changes were flagged
-        // together (acquire/release set both).
-        debug_assert!(!self.cache.links_dirty || self.cache.flows_dirty);
-
         let rebuilt = self.cache.links_dirty;
+        let mut recomputed = rebuilt || self.cache.faults_fired;
         if rebuilt {
-            // Rebuild the dense slot map from the refcounts (ascending,
-            // matching the scratch path's sort+dedup).
+            // Rebuild the ascending in-use list from the refcounts.
             self.cache.links_dirty = false;
-            self.cache.in_use.clear();
-            for l in 0..self.cache.link_refs.len() {
-                if self.cache.link_refs[l] > 0 {
-                    self.cache.in_use.push(l as u32);
-                }
-            }
-            for s in self.cache.slot_of.iter_mut() {
-                *s = NO_SLOT;
-            }
-            for k in 0..self.cache.in_use.len() {
-                self.cache.slot_of[self.cache.in_use[k] as usize] = k as u32;
-            }
-            // Capacity-shared subset: the links the solver slab holds
-            // (PerFlow links fold into flow caps and never enter it).
-            self.cache.cap_in_use.clear();
-            for s in self.cache.cap_slot_of.iter_mut() {
-                *s = NO_SLOT;
-            }
-            for k in 0..self.cache.in_use.len() {
-                let l = self.cache.in_use[k];
-                if self.topo.link(LinkId(l)).sharing == Sharing::Capacity {
-                    self.cache.cap_slot_of[l as usize] = self.cache.cap_in_use.len() as u32;
-                    self.cache.cap_in_use.push(l);
-                }
-            }
+            let c = &mut self.cache;
+            c.in_use.clear();
+            c.in_use
+                .extend((0..c.link_refs.len() as u32).filter(|&l| c.link_refs[l as usize] > 0));
             for k in 0..self.cache.in_use.len() {
                 let l = self.cache.in_use[k] as usize;
                 if t >= self.cache.rate_until[l] {
@@ -1041,201 +1248,80 @@ impl Network {
                     continue; // stale entry
                 }
                 self.refresh_link_rate(lu);
-                let eff = self.cache.raw_rate[lu] * self.fault_factor(lu);
-                if eff.to_bits() != self.cache.eff_rate[lu].to_bits() {
-                    self.cache.eff_rate[lu] = eff;
-                    // A PerFlow link reaches the solver only through
-                    // the folded per-flow caps (compared below); its
-                    // own problem capacity is a constant ∞. Only a
-                    // Capacity link's rate is a solver input directly.
-                    if self.topo.link(LinkId(l)).sharing == Sharing::Capacity {
-                        changed = true;
-                    }
-                }
+                changed |= self.update_eff_rate(lu);
+                recomputed = true;
             }
         }
-
         if rebuilt || self.cache.faults_fired {
             // Fault factors may have moved under any in-use link (and a
-            // rebuilt slot map has no effective rates yet). The factor
-            // is a few array loads, so re-derive wholesale.
+            // rebuilt in-use list has newly used links). The factor is a
+            // few array loads, so re-derive wholesale.
             for k in 0..self.cache.in_use.len() {
                 let l = self.cache.in_use[k] as usize;
-                let eff = self.cache.raw_rate[l] * self.fault_factor(l);
-                if eff.to_bits() != self.cache.eff_rate[l].to_bits() {
-                    self.cache.eff_rate[l] = eff;
-                    if self.topo.link(LinkId(l as u32)).sharing == Sharing::Capacity {
-                        changed = true;
-                    }
-                }
+                changed |= self.update_eff_rate(l);
             }
         }
         self.cache.faults_fired = false;
-
-        if self.cache.flows_dirty {
-            self.cache.flows_dirty = false;
-            self.cache.have_solution = false;
-            self.cache.prob.flow_off.clear();
-            self.cache.prob.flow_off.push(0);
-            self.cache.prob.flow_links.clear();
-            self.cache.fold_off.clear();
-            self.cache.fold_off.push(0);
-            self.cache.fold_links.clear();
-            self.cache.active_slots.clear();
-            for &i in active {
-                self.cache.active_slots.push(i as u32);
-                for l in &self.flows[i].route.links {
-                    match self.topo.link(*l).sharing {
-                        Sharing::Capacity => self
-                            .cache
-                            .prob
-                            .flow_links
-                            .push(self.cache.cap_slot_of[l.0 as usize]),
-                        Sharing::PerFlow => self.cache.fold_links.push(l.0),
-                    }
+        if recomputed {
+            // The solver's input contract, checked where the reference
+            // engine checks it: every in-use capacity first, then flow
+            // caps (as they are folded below).
+            let c = &self.cache;
+            for &l in &c.in_use {
+                let e = c.eff_rate[l as usize];
+                if c.is_capacity[l as usize] {
+                    assert!(e >= 0.0 && !e.is_nan(), "bad link capacity {e}");
                 }
-                self.cache
-                    .prob
-                    .flow_off
-                    .push(self.cache.prob.flow_links.len() as u32);
-                self.cache.fold_off.push(self.cache.fold_links.len() as u32);
             }
-            self.cache.prob.flow_cap.clear();
-            self.cache.prob.flow_cap.resize(active.len(), f64::NAN);
         }
 
-        // Folded per-flow caps are re-queried every boundary: caps are
-        // allowed to depend on flow age and progress, both of which
-        // advance each step. (Each flow's own cap object sees the same
-        // per-flow query sequence as the scratch path regardless of how
-        // the work is chunked, so stateful cap implementations stay
-        // deterministic.)
-        let nchunks = par_chunk_count(self.mode, active.len());
-        let per = active.len().div_ceil(nchunks.max(1)).max(1);
-        {
-            let EngineCache {
-                fold_off,
-                fold_links,
-                eff_rate,
-                prob,
-                ..
-            } = &mut self.cache;
-            let fold_off = &fold_off[..];
-            let fold_links = &fold_links[..];
-            let eff_rate = &eff_rate[..];
-            let chunks = chunk_active(&mut self.flows, active, per);
-            let caps_chunks = prob.flow_cap.chunks_mut(per);
-            let results: Vec<bool> = if nchunks <= 1 {
-                chunks
-                    .into_iter()
-                    .zip(caps_chunks)
-                    .map(|(mut ch, caps)| {
-                        fold_caps_chunk(&mut ch, caps, fold_off, fold_links, eff_rate, t)
-                    })
-                    .collect()
-            } else {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = chunks
-                        .into_iter()
-                        .zip(caps_chunks)
-                        .map(|(mut ch, caps)| {
-                            s.spawn(move || {
-                                fold_caps_chunk(&mut ch, caps, fold_off, fold_links, eff_rate, t)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("fold worker panicked"))
-                        .collect()
-                })
-            };
-            changed |= results.into_iter().any(|c| c);
-        }
+        // Folded per-flow caps: caps may depend on flow age and
+        // progress, both of which advance each step, until the cap
+        // reports it is constant.
+        changed |= self.fold_caps();
 
         if self.cache.have_solution && !changed {
             // Provably nothing the solver sees moved (e.g. a PerFlow
             // link's process change that left every folded cap
             // bitwise identical): reuse the allocation.
+            debug_assert!(self.cache.seeds.is_empty());
             self.stats.incremental_solves += 1;
             if let Some(tel) = &self.telemetry {
                 tel.metrics.counter("simnet_solve_skips", vec![]).inc();
             }
-            return self.cache.solution.clone();
+            return;
         }
 
-        let nf = active.len();
-
-        // Slab link capacities are the cached effective rates of the
-        // in-use Capacity links.
-        let mut all_finite = true;
-        {
-            let EngineCache {
-                prob,
-                cap_in_use,
-                eff_rate,
-                ..
-            } = &mut self.cache;
-            prob.link_cap.clear();
-            for &l in cap_in_use.iter() {
-                let e = eff_rate[l as usize];
-                all_finite &= e.is_finite();
-                prob.link_cap.push(e);
-            }
-        }
+        let nf = self.table.len();
+        let c = &self.cache;
+        let all_finite = c
+            .in_use
+            .iter()
+            .all(|&l| !c.is_capacity[l as usize] || c.eff_rate[l as usize].is_finite());
         if !all_finite {
-            // Degenerate: an in-use Capacity link with a non-finite
+            // Degenerate: an in-use Capacity link with an infinite
             // effective rate. The solver drops such links from the
             // problem entirely (they cannot saturate), which also
             // changes the component structure, so take the generic path
-            // — the exact arithmetic the reference engine runs.
-            let caps: Vec<f64> = self
-                .cache
-                .in_use
-                .iter()
-                .map(|&l| match self.topo.link(LinkId(l)).sharing {
-                    Sharing::Capacity => self.cache.eff_rate[l as usize],
-                    Sharing::PerFlow => f64::INFINITY,
-                })
-                .collect();
-            let alloc_flows: Vec<AllocFlow> = active
-                .iter()
-                .enumerate()
-                .map(|(k, &i)| AllocFlow {
-                    links: self.flows[i]
-                        .route
-                        .links
-                        .iter()
-                        .map(|l| self.cache.slot_of[l.0 as usize] as usize)
-                        .collect(),
-                    cap: self.cache.prob.flow_cap[k],
-                })
-                .collect();
-            let rates = max_min_rates(&caps, &alloc_flows);
+            // — the exact arithmetic the reference engine runs — and
+            // re-solve every component once rates are finite again.
+            self.solve_generic();
             self.note_full_solve(nf);
-            self.cache.solution.clone_from(&rates);
+            self.cache.seeds.clear();
+            self.cache.all_dirty = true;
             self.cache.have_solution = true;
-            return rates;
+            return;
         }
 
-        // Partition upkeep: arrivals were folded in incrementally;
-        // departures marked the union–find dirty and are repaired here
-        // with one rebuild over the live membership.
+        // Partition upkeep: arrivals and leaf departures were folded in
+        // incrementally; any other departure marked the union–find dirty
+        // and is repaired here with one rebuild over the live membership.
         if self.cache.partition.is_dirty() {
-            let flows = &self.flows;
-            let topo = &self.topo;
+            let table = &self.table;
             let part = &mut self.cache.partition;
             part.begin_rebuild();
-            for &i in active {
-                part.rebuild_flow(
-                    i as u32,
-                    flows[i]
-                        .route
-                        .links
-                        .iter()
-                        .filter(|l| topo.link(**l).sharing == Sharing::Capacity)
-                        .map(|l| l.0),
-                );
+            for k in 0..table.len() {
+                part.rebuild_flow(table.slot[k], table.cap_links_of(k).iter().copied());
             }
             if let Some(tel) = &self.telemetry {
                 tel.metrics
@@ -1248,97 +1334,10 @@ impl Network {
                 ));
             }
         }
-        let ncomp;
-        {
-            let EngineCache {
-                partition,
-                active_slots,
-                cap_in_use,
-                comps,
-                ..
-            } = &mut self.cache;
-            partition.components_into(active_slots, cap_in_use, comps);
-            ncomp = comps.count();
-        }
+        let ncomp = self.cache.partition.components();
         self.stats.component_solves += ncomp as u64;
-
-        // The slab path bypasses `max_min_rates`' input validation; keep
-        // its contract (same panics on bad caps). Non-finite link rates
-        // took the fallback above, so only NaN/negative checks remain.
-        for &c in &self.cache.prob.flow_cap {
-            assert!(c >= 0.0 && !c.is_nan(), "bad flow cap {c}");
-        }
-        for &c in &self.cache.prob.link_cap {
-            assert!(c >= 0.0, "bad link capacity {c}");
-        }
-
-        let nworkers = par_chunk_count(self.mode, nf).min(ncomp.max(1));
-        {
-            let EngineCache {
-                prob,
-                comps,
-                workers,
-                solution,
-                ..
-            } = &mut self.cache;
-            let nl = prob.link_cap.len();
-            solution.clear();
-            solution.resize(nf, 0.0);
-            if workers.len() < nworkers.max(1) {
-                workers.resize(nworkers.max(1), WorkerScratch::default());
-            }
-            if nworkers <= 1 {
-                let w = &mut workers[0];
-                w.resize(nf, nl);
-                for c in 0..ncomp {
-                    crate::soa::solve_component(
-                        prob,
-                        comps.comp_flows(c),
-                        comps.comp_links(c),
-                        &mut w.frozen,
-                        &mut w.residual,
-                        &mut w.active_on,
-                        solution,
-                    );
-                }
-            } else {
-                // Split components into ≤ nworkers contiguous ranges of
-                // roughly equal total flows. Each worker solves its
-                // components on private scratch; component flow sets are
-                // disjoint, so the scatter below writes each slot once.
-                let ranges = crate::partition::split_component_ranges(comps, nf, nworkers);
-                let prob = &*prob;
-                let comps = &*comps;
-                std::thread::scope(|s| {
-                    let mut handles = Vec::new();
-                    for (w, &(r0, r1)) in workers.iter_mut().zip(&ranges) {
-                        w.resize(nf, nl);
-                        handles.push(s.spawn(move || {
-                            for c in r0..r1 {
-                                crate::soa::solve_component(
-                                    prob,
-                                    comps.comp_flows(c),
-                                    comps.comp_links(c),
-                                    &mut w.frozen,
-                                    &mut w.residual,
-                                    &mut w.active_on,
-                                    &mut w.rate,
-                                );
-                            }
-                        }));
-                    }
-                    for h in handles {
-                        h.join().expect("solve worker panicked");
-                    }
-                });
-                // Deterministic merge: scatter per-worker rates back in
-                // stable component order (the loom model test permutes
-                // worker completion order over this exact helper).
-                let rate_slices: Vec<&[f64]> = workers.iter().map(|w| w.rate.as_slice()).collect();
-                crate::partition::merge_component_rates(comps, &ranges, &rate_slices, solution);
-            }
-        }
-        let rates = self.cache.solution.clone();
+        self.collect_dirty_components();
+        self.solve_dirty_components();
         self.note_full_solve(nf);
         self.cache.have_solution = true;
         if let Some(tel) = &self.telemetry {
@@ -1346,7 +1345,178 @@ impl Network {
                 .counter("simnet_component_solves", vec![])
                 .add(ncomp as u64);
         }
-        rates
+    }
+
+    /// Solves the whole problem with [`max_min_rates`] from the cached
+    /// effective rates and folded caps (the non-finite-capacity path).
+    fn solve_generic(&mut self) {
+        let c = &self.cache;
+        let table = &self.table;
+        let mut slot = vec![usize::MAX; c.is_capacity.len()];
+        for (s, &l) in c.in_use.iter().enumerate() {
+            slot[l as usize] = s;
+        }
+        let caps: Vec<f64> = c
+            .in_use
+            .iter()
+            .map(|&l| {
+                if c.is_capacity[l as usize] {
+                    c.eff_rate[l as usize]
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .collect();
+        let flows: Vec<AllocFlow> = (0..table.len())
+            .map(|k| {
+                let links = table.cap_links_of(k).iter().chain(table.fold_links_of(k));
+                AllocFlow {
+                    links: links.map(|&l| slot[l as usize]).collect(),
+                    cap: table.cap[k],
+                }
+            })
+            .collect();
+        let rates = max_min_rates(&caps, &flows);
+        self.table.rate.copy_from_slice(&rates);
+    }
+
+    /// Turns the seeds into the list of components to re-solve: each
+    /// seeded set holding live flows, its flows as ascending table rows
+    /// and its links ascending.
+    fn collect_dirty_components(&mut self) {
+        let table = &self.table;
+        let EngineCache {
+            partition,
+            slot_owner,
+            seeds,
+            all_dirty,
+            roots,
+            root_mark,
+            comp_ids,
+            comps,
+            ..
+        } = &mut self.cache;
+        if std::mem::take(all_dirty) {
+            seeds.clear();
+            let elem0 = partition.flow_element(0);
+            seeds.extend(table.slot.iter().map(|&s| elem0 + s));
+        }
+        root_mark.resize(partition.elements(), false);
+        roots.clear();
+        for &e in seeds.iter() {
+            let r = partition.find(e);
+            if partition.live_flows(r) > 0 && !root_mark[r as usize] {
+                root_mark[r as usize] = true;
+                roots.push(r);
+            }
+        }
+        seeds.clear();
+        comps.flows.clear();
+        comps.flow_starts.clear();
+        comps.flow_starts.push(0);
+        comps.links.clear();
+        comps.link_starts.clear();
+        comps.link_starts.push(0);
+        let n_links = partition.flow_element(0);
+        for &r in roots.iter() {
+            root_mark[r as usize] = false;
+            comp_ids.clear();
+            let l0 = comps.links.len();
+            partition.members(r, |m| {
+                if m < n_links {
+                    comps.links.push(m);
+                } else {
+                    comp_ids.push(slot_owner[(m - n_links) as usize]);
+                }
+            });
+            comps.links[l0..].sort_unstable();
+            comp_ids.sort_unstable();
+            let mut k = 0;
+            for &id in comp_ids.iter() {
+                k = table.seek(k, id);
+                comps.flows.push(k as u32);
+            }
+            comps.flow_starts.push(comps.flows.len() as u32);
+            comps.link_starts.push(comps.links.len() as u32);
+        }
+    }
+
+    /// Re-solves the collected components into the table's `rate`
+    /// column — inline, or split over workers by the sharded engine.
+    fn solve_dirty_components(&mut self) {
+        let c = &mut self.cache;
+        let ncomp = c.comps.count();
+        if ncomp == 0 {
+            return;
+        }
+        let nf = self.table.len();
+        let nl = c.is_capacity.len();
+        let dirty_flows = c.comps.flows.len();
+        let nworkers = par_chunk_count(self.mode, dirty_flows).min(ncomp);
+        c.workers_for(nworkers.max(1));
+        let FlowTable {
+            cap,
+            rate,
+            cap_off,
+            cap_links,
+            ..
+        } = &mut self.table;
+        let view = SlabView {
+            link_cap: &c.eff_rate,
+            flow_cap: cap,
+            flow_off: cap_off,
+            flow_links: cap_links,
+        };
+        let comps = &c.comps;
+        if nworkers <= 1 {
+            let w = &mut c.workers[0];
+            w.resize(nf, nl);
+            for i in 0..ncomp {
+                solve_component_in(
+                    view,
+                    comps.comp_flows(i),
+                    comps.comp_links(i),
+                    &mut w.frozen,
+                    &mut w.residual,
+                    &mut w.active_on,
+                    rate,
+                );
+            }
+            return;
+        }
+        // Split components into ≤ nworkers contiguous ranges of roughly
+        // equal total flows. Each worker solves its components on
+        // private scratch; component flow sets are disjoint, so the
+        // scatter below writes each row once.
+        let ranges = split_component_ranges(comps, dirty_flows, nworkers);
+        run_chunks(
+            true,
+            c.workers.iter_mut().zip(&ranges),
+            |(w, &(r0, r1))| {
+                w.resize(nf, nl);
+                w.rate.resize(nf, 0.0);
+                for i in r0..r1 {
+                    solve_component_in(
+                        view,
+                        comps.comp_flows(i),
+                        comps.comp_links(i),
+                        &mut w.frozen,
+                        &mut w.residual,
+                        &mut w.active_on,
+                        &mut w.rate,
+                    );
+                }
+            },
+            |()| {},
+        );
+        // Deterministic merge: scatter per-worker rates back in stable
+        // component order (the loom model test permutes worker
+        // completion order over this exact helper).
+        let rate_slices: Vec<&[f64]> = c.workers[..ranges.len()]
+            .iter()
+            .map(|w| w.rate.as_slice())
+            .collect();
+        merge_component_rates(comps, &ranges, &rate_slices, rate);
     }
 
     /// Advances simulated time by **one boundary** — to the earliest of
@@ -1360,8 +1530,8 @@ impl Network {
             tel.metrics.counter("simnet_boundaries", vec![]).inc();
         }
         self.apply_due_faults();
-        let active = self.active_indices();
-        if active.is_empty() {
+        self.compact_cancelled();
+        if self.table.is_empty() {
             self.last_rates.clear();
             // Stop at the next fault event so its application time (and
             // telemetry timestamp) stays exact even while idle.
@@ -1371,28 +1541,29 @@ impl Network {
             };
             return Vec::new();
         }
-        let rates = match self.mode {
-            EngineMode::Incremental | EngineMode::Sharded { .. } => self.incremental_rates(&active),
+        let ref_rates = match self.mode {
+            EngineMode::Incremental | EngineMode::Sharded { .. } => {
+                self.incremental_rates();
+                None
+            }
             EngineMode::Reference => {
-                let (caps, alloc_flows) = self.scratch_problem(&active);
+                let (caps, alloc_flows) = self.scratch_problem();
                 let rates = crate::fairshare::reference_rates(&caps, &alloc_flows);
-                self.note_full_solve(active.len());
-                rates
+                self.note_full_solve(self.table.len());
+                // The cached per-component rates are now older than the
+                // inputs; re-solve everything when the incremental
+                // engine takes over again.
+                self.cache.seeds.clear();
+                self.cache.all_dirty = true;
+                Some(rates)
             }
         };
-        self.last_rates.clear();
-        self.last_rates.extend(
-            active
-                .iter()
-                .zip(&rates)
-                .map(|(&i, &r)| (FlowId(i as u64), r)),
-        );
 
         let t = self.now;
         let mut boundary = until;
         // Earliest upcoming link-rate change among in-use links.
-        match self.mode {
-            EngineMode::Incremental | EngineMode::Sharded { .. } => {
+        match ref_rates {
+            None => {
                 // The change heap's first *valid* entry is the earliest
                 // cached segment end; stale entries (superseded
                 // refreshes, out-of-use links) are discarded on the
@@ -1409,51 +1580,71 @@ impl Network {
                     break;
                 }
             }
-            EngineMode::Reference => {
-                let mut in_use = std::collections::BTreeSet::new();
-                for &i in &active {
-                    for l in &self.flows[i].route.links {
-                        in_use.insert(l.0 as usize);
-                    }
-                }
-                for &l in &in_use {
-                    if let Some(ch) = self.procs[l].next_change_after(t) {
+            Some(_) => {
+                let table = &self.table;
+                let mut in_use: Vec<u32> = table
+                    .cap_links
+                    .iter()
+                    .chain(&table.fold_links)
+                    .copied()
+                    .collect();
+                in_use.sort_unstable();
+                in_use.dedup();
+                for l in in_use {
+                    if let Some(ch) = self.procs[l as usize].next_change_after(t) {
                         boundary = boundary.min(ch);
                     }
                 }
             }
         }
+
         // Per-flow boundary candidates: each flow's next cap change and
-        // projected completion. Chunked for the sharded engine;
-        // `SimTime` minima are integer, so folding per-chunk results in
-        // chunk order is exact regardless of the split.
-        let nchunks = par_chunk_count(self.mode, active.len());
-        let per = active.len().div_ceil(nchunks.max(1)).max(1);
+        // projected completion, with the rates recorded on the way.
+        // Chunked for the sharded engine; `SimTime` minima are integer,
+        // so folding per-chunk results in chunk order is exact regardless
+        // of the split.
+        let n = self.table.len();
+        let nchunks = par_chunk_count(self.mode, n);
+        let per = n.div_ceil(nchunks).max(1);
+        self.cache.workers_for(nchunks);
+        self.last_rates.resize(n, (FlowId(0), 0.0));
         {
-            let rates = &rates[..];
-            let chunks = chunk_active(&mut self.flows, &active, per);
-            let mins: Vec<SimTime> = if nchunks <= 1 {
-                chunks
-                    .into_iter()
-                    .map(|mut ch| flow_boundary_chunk(&mut ch, rates, t, until))
-                    .collect()
-            } else {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = chunks
-                        .into_iter()
-                        .map(|mut ch| {
-                            s.spawn(move || flow_boundary_chunk(&mut ch, rates, t, until))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("boundary worker panicked"))
-                        .collect()
-                })
+            let FlowTable {
+                id,
+                done,
+                total,
+                started,
+                cap_fn,
+                frozen,
+                rate,
+                ..
+            } = &mut self.table;
+            let pass = ScanPass {
+                t,
+                until,
+                query_all: ref_rates.is_some(),
+                id,
+                started,
+                total,
+                done,
+                rates: ref_rates.as_deref().unwrap_or(rate),
             };
-            for m in mins {
-                boundary = boundary.min(m);
-            }
+            let chunks = cap_fn
+                .chunks_mut(per)
+                .zip(frozen.chunks_mut(per))
+                .zip(self.last_rates.chunks_mut(per))
+                .enumerate();
+            let mut froze = 0;
+            run_chunks(
+                nchunks > 1,
+                chunks,
+                |(i, ((fns, frz), out))| pass.run(i * per, fns, frz, out),
+                |(b, f)| {
+                    boundary = boundary.min(b);
+                    froze += f;
+                },
+            );
+            self.cache.unfrozen -= froze;
         }
         // A scheduled fault is a rate-change boundary like any other
         // (events at or before `now` were applied above, so any pending
@@ -1469,45 +1660,29 @@ impl Network {
         let dt = (boundary - self.now).as_secs_f64();
 
         // Integrate progress (chunked like the scan above) and collect
-        // completions at `boundary`. Completion side effects — release,
-        // active-set removal, stats — run sequentially afterwards in
-        // ascending flow order, identical to the sequential engines.
-        let completed: Vec<usize> = {
-            let rates = &rates[..];
-            let chunks = chunk_active(&mut self.flows, &active, per);
-            let parts: Vec<Vec<usize>> = if nchunks <= 1 {
-                chunks
-                    .into_iter()
-                    .map(|mut ch| integrate_chunk(&mut ch, rates, dt))
-                    .collect()
-            } else {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = chunks
-                        .into_iter()
-                        .map(|mut ch| s.spawn(move || integrate_chunk(&mut ch, rates, dt)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("integrate worker panicked"))
-                        .collect()
-                })
-            };
-            parts.into_iter().flatten().collect()
-        };
-        let mut done = Vec::new();
-        for i in completed {
-            let f = &mut self.flows[i];
-            f.finished = Some(boundary);
-            self.cache.release(&f.route);
-            self.active.remove(&i);
-            self.stats.flows_completed += 1;
-            done.push(CompletedFlow {
-                id: FlowId(i as u64),
-                bytes: f.bytes_total,
-                started: f.started,
-                finished: boundary,
-            });
+        // the rows completing at `boundary`, ascending. Completion side
+        // effects — release, compaction, stats — then run sequentially
+        // in flow order, identical to the sequential engines.
+        {
+            let FlowTable {
+                done, total, rate, ..
+            } = &mut self.table;
+            let rates = ref_rates.as_deref().unwrap_or(rate);
+            let chunks = done
+                .chunks_mut(per)
+                .zip(self.cache.workers.iter_mut())
+                .enumerate();
+            run_chunks(
+                nchunks > 1,
+                chunks,
+                |(i, (d, w))| integrate_rows(i * per, d, total, rates, dt, &mut w.completed),
+                |()| {},
+            );
         }
+        for w in &self.cache.workers[..nchunks] {
+            self.gone.extend_from_slice(&w.completed);
+        }
+        let done = self.remove_gone(Some(boundary));
         self.now = boundary;
         if let Some(tel) = &self.telemetry {
             for c in &done {

@@ -94,6 +94,40 @@ impl ProblemSlab {
 
     /// Links of flow `f`.
     pub fn links_of(&self, f: usize) -> &[u32] {
+        self.view().links_of(f)
+    }
+
+    /// The slab as a borrowed [`SlabView`].
+    pub fn view(&self) -> SlabView<'_> {
+        SlabView {
+            link_cap: &self.link_cap,
+            flow_cap: &self.flow_cap,
+            flow_off: &self.flow_off,
+            flow_links: &self.flow_links,
+        }
+    }
+}
+
+/// A max–min problem in the [`ProblemSlab`] layout over borrowed
+/// arrays, so the engine can solve straight out of its flow table:
+/// flows are table rows and links are global link ids (`link_cap` is
+/// indexed by link id; only the entries the solved components cross
+/// are read).
+#[derive(Debug, Clone, Copy)]
+pub struct SlabView<'a> {
+    /// Link capacities (bytes/sec), finite on every link a flow crosses.
+    pub link_cap: &'a [f64],
+    /// Per-flow rate caps (may be `∞`).
+    pub flow_cap: &'a [f64],
+    /// CSR offsets, `len = flows + 1`.
+    pub flow_off: &'a [u32],
+    /// CSR link-index arena.
+    pub flow_links: &'a [u32],
+}
+
+impl<'a> SlabView<'a> {
+    /// Links of flow `f`.
+    pub fn links_of(&self, f: usize) -> &'a [u32] {
         &self.flow_links[self.flow_off[f] as usize..self.flow_off[f + 1] as usize]
     }
 }
@@ -185,6 +219,27 @@ pub fn solve_slab_reference(slab: &ProblemSlab, scratch: &mut SolveScratch, rate
 /// exactly the order the old global solver did.
 pub fn solve_component(
     slab: &ProblemSlab,
+    comp_flows: &[u32],
+    comp_links: &[u32],
+    frozen: &mut [bool],
+    residual: &mut [f64],
+    active_on: &mut [u32],
+    rate: &mut [f64],
+) {
+    solve_component_in(
+        slab.view(),
+        comp_flows,
+        comp_links,
+        frozen,
+        residual,
+        active_on,
+        rate,
+    );
+}
+
+/// [`solve_component`] over a borrowed [`SlabView`] — the kernel itself.
+pub fn solve_component_in(
+    slab: SlabView<'_>,
     comp_flows: &[u32],
     comp_links: &[u32],
     frozen: &mut [bool],

@@ -13,9 +13,18 @@
 //! 3. **Component solves compose** — solving each component
 //!    independently (even in *reverse* component order) scatters into
 //!    exactly `fairshare::reference_rates`, bitwise.
+//! 4. **Leaf rule** — with departures of flows crossing at most one
+//!    capacity link unlinked in place (no rebuild) and freed slots
+//!    reused by later arrivals, the partition still equals a
+//!    from-scratch rebuild, component by component and member by
+//!    member.
+//! 5. **Bounded under churn** — an engine that starts and completes
+//!    10⁵ flows one after another keeps its flow table, slots and
+//!    union–find at the size of its peak live population.
 
 use ir_simnet::fairshare::{max_min_rates, reference_rates, AllocFlow};
 use ir_simnet::partition::{Components, FlowLinkPartition, UnionFind};
+use ir_simnet::prelude::*;
 use ir_simnet::soa::ProblemSlab;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -231,5 +240,181 @@ fn independent_component_solves_reproduce_reference_rates() {
             bits(&oracle),
             "seed {seed}: component solves do not compose"
         );
+    }
+}
+
+/// Canonical view of a partition over a live membership: its canonical
+/// components, its component count, and — per component — the sorted
+/// member elements its set lists carry.
+fn canonical(
+    p: &mut FlowLinkPartition,
+    live: &[Option<Vec<u32>>],
+    n_links: usize,
+) -> (Components, usize, Vec<Vec<u32>>) {
+    let active: Vec<u32> = (0..live.len() as u32)
+        .filter(|&s| live[s as usize].is_some())
+        .collect();
+    let prob_links: Vec<u32> = (0..n_links as u32).collect();
+    let mut comps = Components::default();
+    p.components_into(&active, &prob_links, &mut comps);
+    let mut members: Vec<Vec<u32>> = (0..comps.count())
+        .map(|c| {
+            let first = active[comps.comp_flows(c)[0] as usize];
+            let root = p.find(p.flow_element(first));
+            let mut m = Vec::new();
+            p.members(root, |e| m.push(e));
+            m.sort_unstable();
+            m
+        })
+        .collect();
+    members.sort();
+    (comps, p.components(), members)
+}
+
+#[test]
+fn leaf_departures_and_reused_slots_match_from_scratch_rebuild() {
+    let mut leaf_departures = 0u64;
+    let mut reuses = 0u64;
+    for seed in 0..300u64 {
+        let mut rng = StdRng::seed_from_u64(0xD0_0000 + seed);
+        let n_links = rng.gen_range(1..10usize);
+        // Live membership by slot; freed slots are reused last-in,
+        // first-out, as the engine does.
+        let mut live: Vec<Option<Vec<u32>>> = Vec::new();
+        let mut free: Vec<u32> = Vec::new();
+        let mut inc = FlowLinkPartition::new(n_links);
+        let rebuilds_before = inc.rebuilds;
+        let mut non_leaf = 0u64;
+
+        for _ in 0..rng.gen_range(1..60u32) {
+            let departures_possible = live.iter().any(Option::is_some);
+            if !departures_possible || rng.gen_bool(0.55) {
+                // Mostly leaves (0 or 1 capacity link), some bridges.
+                let k = match rng.gen_range(0..10u32) {
+                    0..=1 => 0,
+                    2..=6 => 1,
+                    _ => rng.gen_range(2..=3.min(n_links).max(2)),
+                }
+                .min(n_links);
+                let mut links: Vec<u32> = (0..n_links as u32).collect();
+                for i in 0..k {
+                    let j = rng.gen_range(i..n_links);
+                    links.swap(i, j);
+                }
+                links.truncate(k);
+                // Reuse a freed slot when there is one. In debug builds
+                // the partition asserts that a reused slot's element is
+                // a flow-free singleton no other element points at.
+                let slot = match free.pop() {
+                    Some(s) => {
+                        reuses += 1;
+                        s
+                    }
+                    None => {
+                        live.push(None);
+                        live.len() as u32 - 1
+                    }
+                };
+                inc.on_flow_start(slot, links.iter().copied());
+                live[slot as usize] = Some(links);
+            } else {
+                let victims: Vec<usize> = (0..live.len()).filter(|&s| live[s].is_some()).collect();
+                let s = victims[rng.gen_range(0..victims.len())];
+                let links = live[s].take().expect("victim is live");
+                if links.len() <= 1 {
+                    leaf_departures += 1;
+                } else {
+                    non_leaf += 1;
+                }
+                inc.on_flow_depart(s as u32, links.len());
+                free.push(s as u32);
+            }
+
+            // The engine rebuilds lazily at the next query; mirror that.
+            if inc.is_dirty() {
+                inc.begin_rebuild();
+                for (slot, links) in live.iter().enumerate() {
+                    if let Some(links) = links {
+                        inc.rebuild_flow(slot as u32, links.iter().copied());
+                    }
+                }
+            }
+
+            let mut fresh = FlowLinkPartition::new(n_links);
+            for (slot, links) in live.iter().enumerate() {
+                if let Some(links) = links {
+                    fresh.on_flow_start(slot as u32, links.iter().copied());
+                }
+            }
+            let (a, count_a, members_a) = canonical(&mut inc, &live, n_links);
+            let (b, count_b, members_b) = canonical(&mut fresh, &live, n_links);
+            assert_eq!(a.comp_of_flow, b.comp_of_flow, "seed {seed}");
+            assert_eq!(a.flows, b.flows, "seed {seed}");
+            assert_eq!(a.flow_starts, b.flow_starts, "seed {seed}");
+            assert_eq!(a.links, b.links, "seed {seed}");
+            assert_eq!(a.link_starts, b.link_starts, "seed {seed}");
+            assert_eq!(count_a, a.count(), "seed {seed}: maintained count");
+            assert_eq!(count_a, count_b, "seed {seed}");
+            assert_eq!(members_a, members_b, "seed {seed}: member lists");
+        }
+        // Only bridge departures may have rebuilt.
+        assert!(
+            inc.rebuilds - rebuilds_before <= non_leaf,
+            "seed {seed}: a leaf departure rebuilt"
+        );
+    }
+    assert!(leaf_departures > 1_000, "{leaf_departures} leaf departures");
+    assert!(reuses > 1_000, "{reuses} slot reuses");
+}
+
+#[test]
+fn engine_state_stays_bounded_by_peak_live_flows_under_churn() {
+    // Fan-in: two hosts behind per-flow access links share one
+    // capacity uplink, plus a two-capacity-link route whose departures
+    // are not leaves.
+    let mut t = Topology::new();
+    let o = t.add_node("o", NodeKind::Server);
+    let tor = t.add_node("tor", NodeKind::Intermediate);
+    let mid = t.add_node("mid", NodeKind::Intermediate);
+    let up = t.add_link_shared(tor, o, SimDuration::from_millis(1), Sharing::Capacity);
+    let mut routes = Vec::new();
+    for h in 0..2 {
+        let host = t.add_node(format!("h{h}"), NodeKind::Client);
+        t.add_link_shared(host, tor, SimDuration::from_millis(1), Sharing::PerFlow);
+        routes.push(t.route(&[host, tor, o]).unwrap());
+    }
+    t.add_link_shared(tor, mid, SimDuration::from_millis(1), Sharing::Capacity);
+    t.add_link_shared(mid, o, SimDuration::from_millis(1), Sharing::Capacity);
+    routes.push(t.route(&[tor, mid, o]).unwrap());
+    let n_links = t.link_count();
+    let mut net = Network::new(t, 1e6);
+    net.set_link_process(up, Box::new(ConstantProcess::new(1e6)));
+
+    // One flow at a time, then four at a time: the peak is 4.
+    const FLOWS: u64 = 100_000;
+    let mut started = 0u64;
+    while started < FLOWS {
+        let batch = if started < FLOWS / 2 { 1 } else { 4 };
+        let ids: Vec<FlowId> = (0..batch)
+            .map(|j| {
+                let r = &routes[((started + j) % 3) as usize];
+                net.start_flow(r.clone(), 1_000 + (started + j) % 5, Box::new(NoCap))
+            })
+            .collect();
+        started += batch;
+        for id in ids {
+            net.run_flow(id, SimTime::MAX).expect("flow completes");
+        }
+    }
+    let st = net.stats();
+    assert_eq!(st.flows_started, FLOWS);
+    assert_eq!(st.flows_completed, FLOWS);
+    let fp = net.engine_footprint();
+    assert!(fp.flow_slots <= 4, "{fp:?}");
+    assert_eq!(fp.partition_elements, n_links + fp.flow_slots, "{fp:?}");
+    assert!(fp.table_capacity <= 4, "{fp:?}");
+    // Completion records stay available for every flow ever started.
+    for k in [0, FLOWS / 2, FLOWS - 1] {
+        assert!(net.completion(FlowId(k)).is_some());
     }
 }

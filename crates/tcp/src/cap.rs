@@ -20,16 +20,24 @@ use ir_simnet::time::SimDuration;
 pub struct TcpRateCap {
     cfg: TcpConfig,
     steady_rate: f64,
+    /// Ramp sub-round length, microseconds.
+    step_us: u64,
+    /// First sub-round in which the ramp reaches `steady_rate`.
+    steady_subround: u64,
 }
 
 impl TcpRateCap {
     /// Creates the cap from a configuration.
     pub fn new(cfg: TcpConfig) -> Self {
         cfg.validate();
-        TcpRateCap {
+        let mut cap = TcpRateCap {
             cfg,
             steady_rate: pftk_rate(&cfg),
-        }
+            step_us: (cfg.rtt.as_micros() / Self::SUBSTEPS).max(1),
+            steady_subround: 0,
+        };
+        cap.steady_subround = cap.subrounds_to_steady();
+        cap
     }
 
     /// The steady-state ceiling (bytes/sec) this connection converges
@@ -52,8 +60,7 @@ impl TcpRateCap {
             return None;
         }
         let since = age.as_micros() - self.cfg.startup.as_micros();
-        let step = (self.cfg.rtt.as_micros() / Self::SUBSTEPS).max(1);
-        Some(since / step)
+        Some(since / self.step_us)
     }
 
     /// Slow-start window rate in sub-round `q`:
@@ -64,7 +71,8 @@ impl TcpRateCap {
         (iw * factor / self.cfg.rtt.as_secs_f64()).min(self.steady_rate)
     }
 
-    /// The first sub-round in which the ramp reaches the steady rate.
+    /// The first sub-round in which the ramp reaches the steady rate
+    /// (computed once, in [`TcpRateCap::new`], into `steady_subround`).
     fn subrounds_to_steady(&self) -> u64 {
         let iw_rate =
             (self.cfg.init_cwnd_segments * self.cfg.mss) as f64 / self.cfg.rtt.as_secs_f64();
@@ -87,11 +95,12 @@ impl RateCap for TcpRateCap {
         match self.subround(age) {
             None => Some(self.cfg.startup),
             Some(q) => {
-                if q >= self.subrounds_to_steady() {
-                    None // converged; constant from here on
+                if q >= self.steady_subround {
+                    // Converged; constant from here on, so the engine
+                    // stops querying this cap.
+                    None
                 } else {
-                    let step = (self.cfg.rtt.as_micros() / Self::SUBSTEPS).max(1);
-                    let next = self.cfg.startup.as_micros() + (q + 1) * step;
+                    let next = self.cfg.startup.as_micros() + (q + 1) * self.step_us;
                     Some(SimDuration::from_micros(next))
                 }
             }
@@ -194,6 +203,37 @@ mod tests {
         if q > 0 {
             assert!(c.ramp_rate(q - 1) < c.steady_rate());
         }
+    }
+
+    /// Cap freezing rests on this: once `next_cap_change` answers
+    /// `None` (from `subrounds_to_steady()` on), `cap` must already be
+    /// exactly the steady rate, bit for bit, for every configuration.
+    #[test]
+    fn ramp_reaches_steady_rate_bitwise_at_the_converged_subround() {
+        let mut configs = 0;
+        for rtt_ms in [1u64, 3, 10, 17, 40, 80, 100, 150, 250, 400, 800, 2_000] {
+            for loss in [0.0, 1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.03, 0.1, 0.3] {
+                for window in [4_380u32, 16_384, 65_535, 262_144, 1 << 24] {
+                    let cfg = TcpConfig::for_rtt(SimDuration::from_millis(rtt_ms))
+                        .with_loss(loss)
+                        .with_recv_window(window);
+                    let mut c = TcpRateCap::new(cfg);
+                    let q = c.subrounds_to_steady();
+                    assert_eq!(q, c.steady_subround);
+                    assert_eq!(
+                        c.ramp_rate(q).to_bits(),
+                        c.steady_rate().to_bits(),
+                        "rtt {rtt_ms} ms, loss {loss}, window {window}: sub-round {q}"
+                    );
+                    // And the engine-facing pair agrees at that age.
+                    let age = SimDuration::from_micros(cfg.startup.as_micros() + q * c.step_us);
+                    assert_eq!(c.next_cap_change(age), None);
+                    assert_eq!(c.cap(age, 0).to_bits(), c.steady_rate().to_bits());
+                    configs += 1;
+                }
+            }
+        }
+        assert_eq!(configs, 600);
     }
 
     #[test]
